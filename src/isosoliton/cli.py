@@ -122,12 +122,25 @@ def _params_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def _cfg_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> IntegratorConfig:
     if args.tol <= 0 or args.blowup_threshold <= 0 or args.max_steps <= 0:
         ap.error("tolerances and budgets must be positive")
-    return IntegratorConfig(
-        tol=args.tol,
-        blowup_threshold=args.blowup_threshold,
-        max_steps=args.max_steps,
-        epsilon=args.epsilon,
-    )
+    try:
+        return IntegratorConfig(
+            tol=args.tol,
+            blowup_threshold=args.blowup_threshold,
+            max_steps=args.max_steps,
+            epsilon=args.epsilon,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
+        raise AssertionError("unreachable")
+
+
+def _endpoint_seed(ap: argparse.ArgumentParser, p: SolitonParams, which: int,
+                   epsilon: float) -> PhasePoint:
+    try:
+        return endpoint_seed(p, which, epsilon)
+    except ValueError as exc:
+        ap.error(f"--epsilon: {exc}")
+        raise AssertionError("unreachable")
 
 
 def _seed_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
@@ -136,7 +149,7 @@ def _seed_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
     if has_point and args.endpoint is not None:
         ap.error("--seed-r/--seed-psi conflicts with --endpoint")
     if args.endpoint is not None:
-        return endpoint_seed(p, args.endpoint, args.epsilon)
+        return _endpoint_seed(ap, p, args.endpoint, args.epsilon)
     if args.seed_r is None or args.seed_psi is None:
         ap.error("seed required: --seed-r with --seed-psi, or --endpoint")
     try:
@@ -286,13 +299,15 @@ def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     psi_range = _parse_range(ap, args.psi_range, "--psi-range")
     if not (-1.0 < r_range[0] and r_range[1] < 1.0):
         ap.error("--r-range must stay inside (-1, 1)")
-    out = _out_dir(args)
-
+    if args.workers < 1:
+        ap.error("--workers must be >= 1")
+    workers = min(args.workers, os.cpu_count() or 1)
     seeds = grid_seeds(r_range, psi_range, nr, npsi)
     if args.with_endpoints:
-        seeds += [endpoint_seed(p, -1, args.epsilon), endpoint_seed(p, +1, args.epsilon)]
+        seeds += [_endpoint_seed(ap, p, -1, args.epsilon), _endpoint_seed(ap, p, +1, args.epsilon)]
+    out = _out_dir(args)
 
-    result = sweep(p, seeds, cfg=cfg, tol=args.crossing_tol, workers=args.workers)
+    result = sweep(p, seeds, cfg=cfg, tol=args.crossing_tol, workers=workers)
     path = _write(out, "sweep.json", _json_text(sweep_to_dict(result)))
 
     print(f"seeds: {result.n_seeds}")
@@ -493,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--psi-range", default="-5,5")
     s.add_argument("--with-endpoints", action="store_true",
                    help="add the two endpoint-seeded runs")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at least 1; more than the CPU count are clamped to it")
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
     s.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)

@@ -7,11 +7,16 @@ form needed here:
 * the step is capped by half the distance to the nearest focal level, so the
   walk can approach r = +-1 without ever evaluating the singular right-hand
   side outside (-1, 1);
-* blow-up is a first-class termination, declared either when |psi| exceeds a
-  threshold or when the step collapses below 1e-14 while |psi| is large and
-  still growing (in double precision the threshold alone is unreachable:
-  |psi| ~ 1/sqrt(pole distance), and the pole distance would have to shrink
-  below one ulp), reported at the last accepted sample;
+* blow-up is a first-class termination.  Once |psi| passes a moderate level
+  the same stepping loop carries u = 1/psi^2 instead of psi, in which the
+  pole is a regular zero (the variable of the comparison bound h1).  A step
+  that lands at u <= 0 has crossed the pole; the root of the step's cubic
+  Hermite model of u, polished by Newton iterations on the step, is
+  reported as the blow-up location.  Two
+  fallbacks remain: |psi| above ``blowup_threshold``, and the step
+  collapsing below 1e-14 while the graph slope is large and |psi| still
+  growing (poles jammed against r = +-1, where psi stays moderate); both
+  report the last accepted sample;
 * reaching a focal level regularly is also a termination, with the profile
   derivative measured at the final sample.
 
@@ -40,7 +45,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .catalog import SolitonParams, params_to_dict
-from .phase import PhasePoint, eta, psi_rhs
+from .phase import PhasePoint, _bisect, eta, psi_rhs, u_rhs
 
 REGULAR_ENDPOINT = "RegularEndpoint"
 BLOWUP_PLUS = "BlowUpPlus"
@@ -50,13 +55,33 @@ BUDGET_EXHAUSTED = "BudgetExhausted"
 CROSSING_ZERO = "zero"
 CROSSING_ETA = "eta"
 
+# |psi| above which an accepted step switches the walk to u = 1/psi^2, and
+# below which it switches back; the gap between the two keeps a run that
+# hovers near one level from flapping between variables.
+U_ENTER = 100.0
+U_LEAVE = 25.0
+
+# Distance from R inside which eta is taken as its one-sided limit: beyond
+# it |eta| <= 1/|r - R| stays finite.
+ETA_POLE_GAP = 1e-300
+
+# Bracket width at which crossing and pole bisection stop: about ten ulps
+# for |r| near 1, and a bounded iteration count near r = 0, where doubles
+# are dense.
+ROOT_TOL = 1e-15
+# Newton polish steps on a located pole (see _locate_pole).
+POLE_NEWTON_ITERS = 3
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tunables for the adaptive walk.
 
-    tol                    per-step local error tolerance (mixed abs/rel).
-    blowup_threshold       |psi| at which blow-up is declared outright.
+    tol                    per-step local error tolerance (mixed abs/rel,
+                           on psi or on u = 1/psi^2, whichever is carried).
+    blowup_threshold       |psi| at which blow-up is declared outright, at
+                           the last accepted sample (a fallback: the pole
+                           is normally located as the zero of u first).
     max_steps              attempted-step budget per direction.
     epsilon                default focal-level offset for endpoint seeds.
     max_step               global cap on |step|; also bounds the sample
@@ -74,8 +99,6 @@ class IntegratorConfig:
     max_samples            stored samples per trace (curvature-weighted
                            thinning above this).
     keep_full_resolution   bypass thinning.
-    refine_blowup          add the leading-order pole-distance correction to
-                           reported blow-up locations.
     """
 
     tol: float = 1e-10
@@ -90,7 +113,6 @@ class IntegratorConfig:
     blowup_soft: float = 1e4
     max_samples: int = 4096
     keep_full_resolution: bool = False
-    refine_blowup: bool = False
 
     def __post_init__(self) -> None:
         for name in ("tol", "blowup_threshold", "epsilon", "max_step",
@@ -109,8 +131,10 @@ class TerminationEvent:
 
     ``endpoint_vprime`` is set only for RegularEndpoint events and holds the
     profile derivative psi/(k sqrt(1-r^2)) measured at the last accepted
-    sample; ``location`` is +-1 exactly for RegularEndpoint, the last
-    accepted r otherwise.
+    sample.  ``location`` is +-1 exactly for RegularEndpoint; for a blow-up
+    it is the located pole (the zero of u = 1/psi^2 within the last step),
+    or the last accepted r when a fallback exit fired; for BudgetExhausted
+    it is the last accepted r.
     """
 
     kind: str
@@ -224,15 +248,24 @@ def integrate_from(
     direction: int,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> HalfTrace:
-    """Run the adaptive walk from ``seed`` in one direction until an event."""
+    """Run the adaptive walk from ``seed`` in one direction until an event.
+
+    The walk carries psi, or u = 1/psi^2 while |psi| is large (entered above
+    ``U_ENTER``, left below ``U_LEAVE``); samples are always stored as
+    (r, psi, psi').
+    """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {direction!r}")
 
     k = p.k
-    rhs: Callable[[float, float], float] = lambda r, y: psi_rhs(p, r, y)
+    psi_f: Callable[[float, float], float] = lambda r, y: psi_rhs(p, r, y)
+    rhs = psi_f
+    in_u = False
+    sign = 1.0  # sgn psi while the walk carries u
     endpoint = float(direction)
 
     r, y = seed.r, seed.psi
+    psi = y
     gap0 = abs(endpoint - r)
     relative_rule = gap0 <= cfg.endpoint_start_window
     stop_gap = max(cfg.endpoint_tol, cfg.endpoint_cover * gap0 if relative_rule else 0.0)
@@ -262,12 +295,9 @@ def integrate_from(
         return TerminationEvent(kind=REGULAR_ENDPOINT, location=endpoint,
                                 endpoint_vprime=vp)
 
-    def blowup_event() -> TerminationEvent:
-        kind = BLOWUP_PLUS if ys[-1] > 0 else BLOWUP_MINUS
-        loc = rs[-1]
-        if cfg.refine_blowup:
-            loc = _refined_pole(p, rs[-1], ys[-1], direction)
-        return TerminationEvent(kind=kind, location=loc)
+    def blowup_event(positive: bool, location: float) -> TerminationEvent:
+        return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
+                                location=location)
 
     if gap0 <= cfg.endpoint_tol:
         return finish(endpoint_event(), 0, 0, 0.0, 0.0)
@@ -276,7 +306,7 @@ def integrate_from(
     rejected = 0
     hmin_seen = math.inf
     hmax_seen = 0.0
-    prev_abs_y = abs(y)
+    prev_abs_psi = abs(psi)
     h = direction * min(cfg.max_step, 0.25 * gap0, 1e-3)
 
     for _attempt in range(cfg.max_steps):
@@ -287,55 +317,51 @@ def integrate_from(
         if (r + h - r_stop) * direction >= 0.0:
             h = r_stop - r
 
-        # Stages (FSAL: stage 7 is the derivative at the accepted point).
-        ks = [k1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        bad = False
-        for i in range(1, 7):
-            yi = y
-            a = _DP_A[i]
-            for j in range(i):
-                yi += h * a[j] * ks[j]
-            if not math.isfinite(yi):
-                bad = True
-                break
-            ks[i] = rhs(r + _DP_C[i] * h, yi)
-        if bad:
-            err_norm = math.inf
-            y_new = math.nan
+        y_new, err, d_new = _dp5_step(rhs, r, y, k1, h)
+        if math.isfinite(y_new) and math.isfinite(err):
+            err_norm = abs(err) / (cfg.tol * (1.0 + max(abs(y), abs(y_new))))
         else:
-            y_new = y
-            for j in range(6):
-                y_new += h * _DP_A[6][j] * ks[j]
-            err = 0.0
-            for j in range(7):
-                err += _DP_E[j] * ks[j]
-            err *= h
-            scale = cfg.tol * (1.0 + max(abs(y), abs(y_new) if math.isfinite(y_new) else 0.0))
-            err_norm = abs(err) / scale if math.isfinite(err) else math.inf
-            if not math.isfinite(y_new):
-                err_norm = math.inf
+            err_norm = math.inf
 
         if err_norm <= 1.0:
-            # Accept.  Stage 7 sits at (r+h, y_new), so it is the new
-            # derivative for free (first-same-as-last pair).
             r_new = r + h
-            d_new = ks[6]
             accepted += 1
             ah = abs(h)
             hmin_seen = min(hmin_seen, ah)
             hmax_seen = max(hmax_seen, ah)
-            prev_abs_y = abs(y)
+            if in_u and y_new <= 0.0:  # the step crossed the pole
+                pole = _locate_pole(rhs, r, y, k1, r_new, y_new, d_new)
+                return finish(blowup_event(sign > 0.0, pole),
+                              accepted, rejected, hmin_seen, hmax_seen)
+            prev_abs_psi = abs(psi)
             r, y, k1 = r_new, y_new, d_new
+            if in_u:
+                psi = sign / math.sqrt(y)
+                dpsi = psi_f(r, psi)
+            else:
+                psi, dpsi = y, k1
             rs.append(r)
-            ys.append(y)
-            ds.append(k1)
+            ys.append(psi)
+            ds.append(dpsi)
 
-            if abs(y) >= cfg.blowup_threshold:
-                return finish(blowup_event(), accepted, rejected, hmin_seen, hmax_seen)
+            if abs(psi) >= cfg.blowup_threshold:
+                return finish(blowup_event(psi > 0.0, r),
+                              accepted, rejected, hmin_seen, hmax_seen)
             # Slack of a few ulp of 1.0: the landed gap is |endpoint - r|
             # with r near +-1, so it carries that absolute rounding.
             if abs(endpoint - r) <= stop_gap + 1e-15:
                 return finish(endpoint_event(), accepted, rejected, hmin_seen, hmax_seen)
+
+            if not in_u and abs(psi) > U_ENTER:
+                in_u = True
+                sign = math.copysign(1.0, psi)
+                rhs = lambda r, u, s=sign: u_rhs(p, r, u, s)
+                y = 1.0 / (psi * psi)
+                k1 = rhs(r, y)
+            elif in_u and abs(psi) < U_LEAVE:
+                in_u = False
+                rhs = psi_f
+                y, k1 = psi, dpsi
         else:
             rejected += 1
 
@@ -349,9 +375,10 @@ def integrate_from(
             # Trigger on the graph slope, not on psi: a pole sitting close
             # to r = +-1 collapses the step while psi is still moderate,
             # but psi / (k sqrt(1-r^2)) is already enormous there.
-            slope = abs(y) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
-            if slope > cfg.blowup_soft and abs(y) >= prev_abs_y:
-                return finish(blowup_event(), accepted, rejected, hmin_seen, hmax_seen)
+            slope = abs(psi) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
+            if slope > cfg.blowup_soft and abs(psi) >= prev_abs_psi:
+                return finish(blowup_event(psi > 0.0, r),
+                              accepted, rejected, hmin_seen, hmax_seen)
             event = TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
             return finish(event, accepted, rejected, hmin_seen, hmax_seen)
 
@@ -359,16 +386,50 @@ def integrate_from(
     return finish(event, accepted, rejected, hmin_seen, hmax_seen)
 
 
-def _refined_pole(p: SolitonParams, r: float, y: float, direction: int) -> float:
-    """Leading-order pole location from the 1/sqrt blow-up asymptotics."""
-    a = (p.n - 1) * (r - p.R) / (p.k * (1.0 - r * r))
-    if a == 0.0 or y == 0.0:
-        return r
-    delta = 1.0 / (2.0 * a * y * y)
-    gap = abs(direction - r)
-    if delta * direction <= 0.0 or abs(delta) >= gap:
-        return r
-    return r + delta
+def _dp5_step(rhs: Callable[[float, float], float], r: float, y: float,
+              k1: float, h: float) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step from (r, y) with y' = k1 there.
+
+    Returns the fifth-order value at r + h, the embedded error estimate and
+    the derivative at the new point (first same as last: the seventh stage
+    sits at (r + h, y_new)).  The value is NaN when a stage left the finite
+    range.
+    """
+    ks = [k1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for i in range(1, 7):
+        yi = y
+        a = _DP_A[i]
+        for j in range(i):
+            yi += h * a[j] * ks[j]
+        if not math.isfinite(yi):
+            return math.nan, math.inf, math.nan
+        ks[i] = rhs(r + _DP_C[i] * h, yi)
+    err = 0.0
+    for j in range(7):
+        err += _DP_E[j] * ks[j]
+    return yi, err * h, ks[6]
+
+
+def _locate_pole(rhs: Callable[[float, float], float], r0: float, u0: float,
+                 d0: float, r1: float, u1: float, d1: float) -> float:
+    """Zero of u = 1/psi^2 on an accepted step from u0 > 0 to u1 <= 0.
+
+    The step's cubic Hermite model brackets the root and bisection finds
+    it; Newton iterations on the step itself, re-taken from r0 to each
+    estimate, then polish it.  The model alone is only as good as a cubic
+    fit of u, which near the pole carries a (pole distance)^(3/2) term.
+    """
+    lo, hi = min(r0, r1), max(r0, r1)
+    x = _bisect(lambda t: _hermite_eval(r0, r1, u0, u1, d0, d1, t), lo, hi, tol=ROOT_TOL)
+    for _ in range(POLE_NEWTON_ITERS):
+        u, _err, du = _dp5_step(rhs, r0, u0, d0, x - r0)
+        if not (math.isfinite(u) and du != 0.0):
+            break
+        x_next = min(hi, max(lo, x - u / du))
+        if x_next == x:
+            break
+        x = x_next
+    return x
 
 
 def _hermite_eval(x0: float, x1: float, y0: float, y1: float,
@@ -386,69 +447,54 @@ def _hermite_eval(x0: float, x1: float, y0: float, y1: float,
     )
 
 
-def _bisect_on(f: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+def _eta_samples(p: SolitonParams, r: np.ndarray) -> np.ndarray:
+    """The guide curve eta at sample radii.
+
+    Within ``ETA_POLE_GAP`` of R the one-sided limit (-inf above R, +inf
+    below) stands in for the quotient, which would overflow there.
+    """
+    d = r - p.R
+    out = np.where(d > 0.0, -np.inf, np.inf)
+    far = np.abs(d) > ETA_POLE_GAP
+    out[far] = -np.sqrt(1.0 - r[far] * r[far]) / ((p.n - 1) * d[far])
+    return out
 
 
 def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
                     dpsi: np.ndarray) -> tuple[Crossing, ...]:
     """Zero and guide-curve crossings of the sampled orbit.
 
-    Segment-local cubic Hermite models refine each bracketed sign change;
-    segments straddling the guide-curve pole at r = R are skipped for the
-    eta scan (the sign of psi - eta flips there without a crossing).
+    Sign changes are found over the whole sample array; a segment-local
+    cubic Hermite model then refines each bracketed one by bisection.  A
+    sample sitting exactly on a curve is a crossing itself.  Segments
+    straddling the guide-curve pole at r = R are skipped for the eta scan
+    (the sign of psi - eta flips there without a crossing).
     """
+    def root(i: int, curve: Callable[[float], float]) -> float:
+        """Where the Hermite model of psi on segment i meets the curve."""
+        x0, x1 = float(r[i]), float(r[i + 1])
+        y0, y1 = float(psi[i]), float(psi[i + 1])
+        d0, d1 = float(dpsi[i]), float(dpsi[i + 1])
+        return _bisect(lambda x: _hermite_eval(x0, x1, y0, y1, d0, d1, x) - curve(x),
+                       x0, x1, tol=ROOT_TOL)
+
     out: list[Crossing] = []
-    n = len(r)
 
-    for i in range(n - 1):
-        y0, y1 = psi[i], psi[i + 1]
-        if y0 == 0.0:
-            out.append(Crossing(kind=CROSSING_ZERO, r=float(r[i])))
-            continue
-        if y1 == 0.0:
-            continue  # recorded when the next segment starts on it
-        if (y0 > 0.0) != (y1 > 0.0):
-            g = lambda x, i=i: _hermite_eval(r[i], r[i + 1], psi[i], psi[i + 1],
-                                             dpsi[i], dpsi[i + 1], x)
-            out.append(Crossing(kind=CROSSING_ZERO, r=float(_bisect_on(g, r[i], r[i + 1]))))
-    if n and psi[-1] == 0.0:
-        out.append(Crossing(kind=CROSSING_ZERO, r=float(r[-1])))
+    pos = psi > 0.0
+    on = psi == 0.0
+    for i in np.flatnonzero(on):
+        out.append(Crossing(kind=CROSSING_ZERO, r=float(r[i])))
+    for i in np.flatnonzero(~on[:-1] & ~on[1:] & (pos[:-1] != pos[1:])):
+        out.append(Crossing(kind=CROSSING_ZERO, r=root(i, lambda x: 0.0)))
 
-    R = p.R
-    for i in range(n - 1):
-        if r[i] <= R <= r[i + 1] or r[i] == R or r[i + 1] == R:
-            continue
-        s0 = psi[i] - eta(p, r[i])
-        s1 = psi[i + 1] - eta(p, r[i + 1])
-        if s0 == 0.0:
-            out.append(Crossing(kind=CROSSING_ETA, r=float(r[i])))
-            continue
-        if s1 == 0.0:
-            continue
-        if (s0 > 0.0) != (s1 > 0.0):
-            g = lambda x, i=i: (
-                _hermite_eval(r[i], r[i + 1], psi[i], psi[i + 1],
-                              dpsi[i], dpsi[i + 1], x) - eta(p, x)
-            )
-            out.append(Crossing(kind=CROSSING_ETA, r=float(_bisect_on(g, r[i], r[i + 1]))))
+    s = psi - _eta_samples(p, r)
+    clear = ~((r[:-1] <= p.R) & (p.R <= r[1:]))
+    pos = s > 0.0
+    on = s == 0.0
+    for i in np.flatnonzero(clear & on[:-1]):
+        out.append(Crossing(kind=CROSSING_ETA, r=float(r[i])))
+    for i in np.flatnonzero(clear & ~on[:-1] & ~on[1:] & (pos[:-1] != pos[1:])):
+        out.append(Crossing(kind=CROSSING_ETA, r=root(i, lambda x: eta(p, x))))
 
     out.sort(key=lambda c: c.r)
     return tuple(out)

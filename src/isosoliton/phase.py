@@ -68,6 +68,22 @@ def psi_rhs(p: SolitonParams, r: float, psi: float) -> float:
     return (psi * psi + 1.0) * drift / (p.k * one_minus_r2)
 
 
+def u_rhs(p: SolitonParams, r: float, u: float, sign: float) -> float:
+    """Right-hand side for u = 1/psi^2 on a branch with sgn psi = ``sign``.
+
+        u' = -2 (1 + u) ((n-1)(r - R) + sign sqrt(1 - r^2) sqrt(u)) / (k (1 - r^2)),
+
+    the slope equation in the variable of the comparison bound h1, where a
+    blow-up of psi is a regular zero of u.  sqrt(u) is clamped at zero, so a
+    step may run past the pole and the continuation stays C^1.
+    """
+    one_minus_r2 = 1.0 - r * r
+    if one_minus_r2 <= 0.0:
+        raise ValueError(f"slope equation singular at |r| >= 1, got r={r}")
+    drift = (p.n - 1) * (r - p.R) + sign * math.sqrt(one_minus_r2) * math.sqrt(max(u, 0.0))
+    return -2.0 * (1.0 + u) * drift / (p.k * one_minus_r2)
+
+
 def vprime_rhs(p: SolitonParams, r: float, vprime: float) -> float:
     """Second derivative V'' of the profile, as a function of (r, V').
 
@@ -239,7 +255,8 @@ def bound_h3(p: SolitonParams, r0: float, psi0: float, r: float) -> float:
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = BISECTION_TOL) -> float:
-    """Plain bisection on a sign-changing bracket, to absolute width tol."""
+    """Plain bisection on a sign-changing bracket lo < hi, to absolute width
+    tol or until the bracket holds two adjacent doubles."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from isosoliton import cli
 from isosoliton.cli import EXIT_NUMERIC, EXIT_OK, EXIT_UNLISTED, EXIT_USAGE, main
 
 
@@ -91,6 +92,15 @@ class TestUsageErrors:
                   "--seed-r", "0", "--seed-psi", "0"])
         assert e.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ["--endpoint", "-1", "--epsilon", "0.01"],   # endpoint offset above 1e-4
+        ["--seed-r", "0", "--seed-psi", "0", "--epsilon", "-1"],
+    ])
+    def test_bad_epsilon(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as e:
+            main(["trace", "--k", "1", "--n", "2", "--out", str(tmp_path)] + flags)
+        assert e.value.code == EXIT_USAGE
+
 
 class TestClassify:
     def test_type_line_and_report(self, tmp_path, capsys):
@@ -128,6 +138,36 @@ class TestSweep:
         with pytest.raises(SystemExit) as e:
             main(["sweep", "--k", "1", "--n", "2", "--grid", "9"])
         assert e.value.code == EXIT_USAGE
+
+    def test_endpoint_epsilon_validation(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--k", "1", "--n", "2", "--grid", "2x2", "--with-endpoints",
+                  "--epsilon", "0.01", "--out", str(tmp_path)])
+        assert e.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, tmp_path, workers):
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--k", "1", "--n", "2", "--grid", "2x2",
+                  "--workers", workers, "--out", str(tmp_path)])
+        assert e.value.code == EXIT_USAGE
+
+    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # the sweep is replaced by a serial one that records the requested
+        # worker count, so no process is started
+        seen = []
+        real_sweep = cli.sweep
+
+        def serial_sweep(p, seeds, cfg, tol, workers):
+            seen.append(workers)
+            return real_sweep(p, seeds, cfg=cfg, tol=tol, workers=1)
+
+        monkeypatch.setattr(cli, "sweep", serial_sweep)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, _ = run_cli(["sweep", "--k", "1", "--n", "2", "--grid", "1x1",
+                           "--workers", "64"], tmp_path, capsys)
+        assert code == EXIT_OK
+        assert seen == [3]
 
 
 class TestVerify:

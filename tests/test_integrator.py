@@ -3,10 +3,13 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from isosoliton import (
     BLOWUP_MINUS,
@@ -22,6 +25,7 @@ from isosoliton import (
     endpoint_vprime_limit,
     euler_walk,
     eta,
+    grid_seeds,
     integrate_from,
     make_params,
     maximal_trace,
@@ -33,10 +37,12 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
+from isosoliton.integrator import U_ENTER
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
 CFG = IntegratorConfig()
+K2N3_SUBGRID = grid_seeds((-0.9, 0.9), (-5.0, 5.0), 5, 5)
 
 
 class TestEndpointLaw:
@@ -95,17 +101,128 @@ class TestDirectedRuns:
         assert half.event.kind == BUDGET_EXHAUSTED
 
     def test_blowup_near_focal_level_still_detected(self):
-        """Pole jammed against r = -1: the step collapses while psi is
-        moderate, and the slope-based exit must still call it a blow-up."""
+        """Pole jammed against r = -1, where the step is capped by half the
+        gap to the focal level: the run must still call it a blow-up."""
         half = integrate_from(P12, PhasePoint(-0.63, 0.5), -1, CFG)
         assert half.event.kind == BLOWUP_MINUS
         assert -1.0 < half.event.location < -0.99
 
     def test_derivative_column_matches_rhs(self):
+        # samples of the u = 1/psi^2 tail are stored as (r, psi, psi') too
         half = integrate_from(P12, PhasePoint(0.1, 0.3), +1, CFG)
-        for i in range(0, len(half.r), max(1, len(half.r) // 50)):
+        assert np.abs(half.psi).max() > U_ENTER
+        for i in range(len(half.r)):
             want = psi_rhs(P12, float(half.r[i]), float(half.psi[i]))
             assert half.dpsi[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestBlowupTail:
+    """The walk carries u = 1/psi^2 once |psi| is large and locates the pole
+    as the zero of u."""
+
+    def test_tail_is_short(self):
+        for seed in K2N3_SUBGRID:
+            for direction in (-1, 1):
+                half = integrate_from(P23, seed, direction, CFG)
+                if half.event.kind.startswith("BlowUp"):
+                    assert int((np.abs(half.psi[1:]) > U_ENTER).sum()) <= 50, (seed, direction)
+
+    def test_pole_converges_in_tol(self):
+        loose = dataclasses.replace(CFG, tol=1e-10)
+        tight = dataclasses.replace(CFG, tol=1e-12)
+        checked = 0
+        for seed in K2N3_SUBGRID:
+            for direction in (-1, 1):
+                a = integrate_from(P23, seed, direction, loose).event
+                b = integrate_from(P23, seed, direction, tight).event
+                assert a.kind == b.kind
+                if a.kind.startswith("BlowUp"):
+                    assert abs(a.location - b.location) < 1e-8, (seed, direction)
+                    checked += 1
+        assert checked > 25
+
+    def test_pole_lies_beyond_last_sample(self):
+        half = integrate_from(P12, PhasePoint(0.0, 0.0), +1, CFG)
+        assert half.r[-1] < half.event.location < 1.0
+        assert abs(half.psi[-1]) > U_ENTER
+        # psi ~ 1/sqrt(2 a (r* - r)) with a = (n-1)(r-R)/(k(1-r^2)) at the pole
+        r = half.event.location
+        a = (P12.n - 1) * (r - P12.R) / (P12.k * (1.0 - r * r))
+        gap = half.event.location - half.r[-1]
+        assert half.psi[-1] ** -2 == pytest.approx(2.0 * a * gap, rel=0.05)
+
+    def test_pole_near_focal_level(self):
+        """k=2, n=10, m=(8,1): leftward runs from the +1 endpoint seed and
+        from a seed next to it meet their pole at r ~ -0.979, close to the
+        focal level -1."""
+        p = make_params(2, 10, 8, 1)
+        for seed in (endpoint_seed(p, +1, 1e-6), PhasePoint(0.9657888993418962, -11.0414)):
+            half = integrate_from(p, seed, -1, CFG)
+            assert half.event.kind == BLOWUP_MINUS
+            assert -1.0 < half.event.location < -0.97
+
+    def test_fallback_exits_report_last_sample(self):
+        # |psi| threshold below the switch level: fires while psi is carried
+        cfg = dataclasses.replace(CFG, blowup_threshold=50.0)
+        half = integrate_from(P12, PhasePoint(0.0, 0.0), +1, cfg)
+        assert half.event.kind == BLOWUP_PLUS
+        assert half.event.location == half.r[-1]
+        assert abs(half.psi[-1]) >= 50.0
+        # step collapse at a large graph slope while psi is still moderate
+        cfg = dataclasses.replace(CFG, step_collapse=1e-8, blowup_soft=100.0)
+        half = integrate_from(P12, PhasePoint(-0.63, 0.5), -1, cfg)
+        assert half.event.kind == BLOWUP_MINUS
+        assert half.event.location == half.r[-1]
+        assert abs(half.psi[-1]) < U_ENTER
+
+
+def _crossings_by_loop(p, r, psi, dpsi):
+    """Reference scan: one segment at a time, scalar eta, brentq on the
+    segment's cubic Hermite model."""
+    out = []
+    for i in range(len(r)):
+        if psi[i] == 0.0:
+            out.append((CROSSING_ZERO, float(r[i])))
+    for i in range(len(r) - 1):
+        spline = CubicHermiteSpline(r[i:i + 2], psi[i:i + 2], dpsi[i:i + 2])
+        if psi[i] != 0.0 and psi[i + 1] != 0.0 and (psi[i] > 0) != (psi[i + 1] > 0):
+            out.append((CROSSING_ZERO, brentq(spline, r[i], r[i + 1], xtol=1e-15)))
+        if r[i] <= p.R <= r[i + 1]:
+            continue
+        s0 = psi[i] - eta(p, float(r[i]))
+        s1 = psi[i + 1] - eta(p, float(r[i + 1]))
+        if s0 == 0.0:
+            out.append((CROSSING_ETA, float(r[i])))
+        elif s1 != 0.0 and (s0 > 0) != (s1 > 0):
+            g = lambda x: float(spline(x)) - eta(p, x)
+            out.append((CROSSING_ETA, brentq(g, r[i], r[i + 1], xtol=1e-15)))
+    return sorted(out, key=lambda c: c[1])
+
+
+class TestCrossingScan:
+    @pytest.mark.parametrize("p, seed", [
+        (P12, PhasePoint(0.0, 0.0)),
+        (P12, PhasePoint(-0.5, 3.0)),
+        (P12, PhasePoint(0.3, -2.0)),
+        (P23, PhasePoint(-0.45, 2.5)),
+        (P23, PhasePoint(0.45, -1.25)),
+        (make_params(2, 10, 8, 1), PhasePoint(-0.7308317466068817, -0.2363704139606826)),
+    ])
+    def test_matches_segment_loop(self, p, seed):
+        tr = maximal_trace(p, seed, dataclasses.replace(CFG, keep_full_resolution=True))
+        want = _crossings_by_loop(p, tr.r, tr.psi, tr.dpsi)
+        assert [c.kind for c in tr.crossings] == [k for k, _ in want]
+        for c, (_, x) in zip(tr.crossings, want):
+            assert c.r == pytest.approx(x, abs=1e-12)
+
+    @pytest.mark.parametrize("r0", [5e-324, 1e-310, 1e-300])
+    def test_sample_ulps_from_R(self, r0):
+        # P12 has R = 0: the seed sample sits a subnormal distance from R,
+        # where the quotient in eta would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tr = maximal_trace(P12, PhasePoint(r0, 1.0), CFG)
+        assert [c.kind for c in tr.crossings] == [CROSSING_ZERO]
 
 
 class TestMaximalTrace:

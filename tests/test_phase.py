@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from isosoliton import (
@@ -28,6 +28,7 @@ from isosoliton import (
     vprime_rhs,
     zeta,
 )
+from isosoliton.phase import u_rhs
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -35,6 +36,24 @@ P24 = make_params(2, 4, 1, 2)  # R = 1/3
 
 
 class TestRightHandSides:
+    @given(
+        st.floats(min_value=-0.99, max_value=0.99),
+        st.floats(min_value=1.0, max_value=1e6),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_u_rhs_is_the_reciprocal_square_chain_rule(self, r, mag, sign):
+        # u = 1/psi^2 gives u' = -2 psi' / psi^3
+        psi = sign * mag
+        for p in (P12, P23, P24):
+            want = -2.0 * psi_rhs(p, r, psi) / psi**3
+            assert u_rhs(p, r, psi**-2, sign) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_u_rhs_clamps_past_the_pole(self):
+        # past u = 0 only the (n-1)(r-R) drift remains
+        assert u_rhs(P12, 0.5, -1e-3, 1.0) == pytest.approx(
+            -2.0 * (1.0 - 1e-3) * 0.5 / 0.75, rel=1e-15)
+
     def test_known_value(self):
         # k=1, n=2, R=0 at the origin: psi' = (0+1)(0+1)/1
         assert psi_rhs(P12, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -153,7 +172,10 @@ def _h3_oracle(p, r0, psi0, r):
 
 
 def _h2_oracle(p, r0, psi0, r, rate):
-    val, err = quad(lambda s: rate / math.sqrt(1.0 - s * s), r0, r, limit=200)
+    # quad's default epsabs (1.49e-8) would let its error estimate exceed
+    # the asserted 1e-8; asking for 1e-13 keeps the oracle that tight
+    val, err = quad(lambda s: rate / math.sqrt(1.0 - s * s), r0, r, limit=200,
+                    epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-8
     return math.atan(psi0) + val
 
@@ -193,6 +215,7 @@ class TestComparisonBounds:
         st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=100, deadline=None)
+    @example(r0=-0.9, level=0.5, frac=0.65625)  # default epsabs gave err 1.19e-8
     def test_h2_matches_quadrature(self, r0, level, frac):
         p = P12
         psi0 = level * eta(p, r0)
