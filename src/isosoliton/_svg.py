@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .catalog import SolitonParams
 from .integrator import Trace
-from .phase import guide_curves
+from .phase import eta, zeta
 
 OVERLAY_CHOICES = ("eta", "zeta", "R-line")
 
@@ -294,7 +295,6 @@ def trace_figures(
     shape_labels carries the per-level type names (or a placeholder when
     classification failed); they land in the top-right annotation block.
     """
-    g = guide_curves(p)
     span = float(trace.r[-1] - trace.r[0])
     pad = 0.02 * span
     xlim = (float(trace.r[0]) - pad, float(trace.r[-1]) + pad)
@@ -306,7 +306,7 @@ def trace_figures(
     ylim = _slope_ylim(trace.psi, cfg.ymax)
     curves = [("trace", _CURVE, _finite_points(trace.r, trace.psi, ylim))]
     if "eta" in cfg.overlays:
-        curves.append(("eta guide", _ETA, _guide_points(g.eta_at, p.R, xlim, ylim)))
+        curves.append(("eta guide", _ETA, _guide_points(partial(eta, p), p.R, xlim, ylim)))
     figs["psi"] = render_plot(
         "psi(r)", "r", "psi", curves, vlines,
         [params_note, f"type {shape_labels['psi']}"], xlim, ylim,
@@ -315,7 +315,7 @@ def trace_figures(
     ylim = _slope_ylim(trace.vprime, cfg.ymax)
     curves = [("trace", _CURVE, _finite_points(trace.r, trace.vprime, ylim))]
     if "zeta" in cfg.overlays:
-        curves.append(("zeta guide", _ZETA, _guide_points(g.zeta_at, p.R, xlim, ylim)))
+        curves.append(("zeta guide", _ZETA, _guide_points(partial(zeta, p), p.R, xlim, ylim)))
     figs["vprime"] = render_plot(
         "V'(r)", "r", "V'", curves, vlines,
         [params_note, f"type {shape_labels['vprime']}"], xlim, ylim,

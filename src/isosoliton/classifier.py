@@ -313,7 +313,8 @@ def _sweep_one(args: tuple[SolitonParams, PhasePoint, IntegratorConfig, float]) 
     try:
         shape = classify(maximal_trace(p, seed, cfg), tol=tol)
         return SweepEntry(seed=seed, shape=shape, error=None)
-    except Exception as exc:  # per-seed failures are data, not fatal
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # numeric failures are per-seed data; a programming error propagates
         return SweepEntry(seed=seed, shape=None, error=f"{type(exc).__name__}: {exc}")
 
 

@@ -12,22 +12,22 @@ form needed here:
   pole is a regular zero (the variable of the comparison bound h1).  A step
   that lands at u <= 0 has crossed the pole; the root of the step's cubic
   Hermite model of u, polished by Newton iterations on the step, is
-  reported as the blow-up location.  Two
-  fallbacks remain: |psi| above ``blowup_threshold``, and the step
-  collapsing below 1e-14 while the graph slope is large and |psi| still
-  growing (poles jammed against r = +-1, where psi stays moderate); both
-  report the last accepted sample;
+  reported as the blow-up location.  Two fallbacks report the last accepted
+  sample instead: |psi| above ``blowup_threshold``, and the step collapsing
+  below ``STEP_COLLAPSE`` while the graph slope exceeds ``BLOWUP_SOFT`` and
+  |psi| is still growing.  The second ends runs jammed against r = +-1,
+  where psi can stay moderate up to the last step;
 * reaching a focal level regularly is also a termination, with the profile
   derivative measured at the final sample.
 
-Endpoint approach uses an absolute gap tolerance plus a relative rule for
-runs that *start* within ``endpoint_start_window`` of a focal level: the
-regular orbit into the endpoint is a separatrix, and integrating toward the
-endpoint amplifies the O(epsilon) seeding error like a power of
-(epsilon/gap), so a fixed absolute gap is unreachable from a coarse seed.
-Covering a fixed fraction of the initial gap instead makes the measured
-endpoint derivative converge linearly in epsilon, which downstream
-extrapolation then cancels.
+Endpoint approach uses an absolute gap tolerance (``ENDPOINT_TOL``) plus a
+relative rule for runs that *start* within ``ENDPOINT_START_WINDOW`` of a
+focal level: the regular orbit into the endpoint is a separatrix, and
+integrating toward the endpoint amplifies the O(epsilon) seeding error like
+a power of (epsilon/gap), so a fixed absolute gap is unreachable from a
+coarse seed.  Covering a fixed fraction of the initial gap instead (stop at
+``ENDPOINT_COVER`` of it) makes the measured endpoint derivative converge
+linearly in epsilon, which downstream extrapolation then cancels.
 
 Fixed-step Euler and RK4 walks are provided as independent cross-checks;
 they share nothing with the adaptive path except the right-hand side.
@@ -36,7 +36,6 @@ they share nothing with the adaptive path except the right-hand side.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -72,6 +71,19 @@ ROOT_TOL = 1e-15
 # Newton polish steps on a located pole (see _locate_pole).
 POLE_NEWTON_ITERS = 3
 
+# Absolute gap at which a focal level counts as reached.
+ENDPOINT_TOL = 1e-12
+# Runs whose initial gap to the focal level ahead is at most this stop once
+# the gap is ENDPOINT_COVER of the initial one (99% covered).
+ENDPOINT_START_WINDOW = 1e-3
+ENDPOINT_COVER = 0.01
+# Step size below which the walk is stuck: a blow-up when the graph slope
+# is above BLOWUP_SOFT and |psi| still growing, else BudgetExhausted.
+STEP_COLLAPSE = 1e-14
+BLOWUP_SOFT = 1e4
+# Stored samples per trace; curvature-weighted thinning above this.
+MAX_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -86,19 +98,10 @@ class IntegratorConfig:
     epsilon                default focal-level offset for endpoint seeds.
     max_step               global cap on |step|; also bounds the sample
                            spacing, which crossing detection relies on.
-    endpoint_tol           absolute gap at which a focal level counts as
-                           reached.
-    endpoint_start_window  sides whose initial gap is at most this use the
-                           relative endpoint rule below.
-    endpoint_cover         relative rule: stop once the remaining gap is this
-                           fraction of the initial gap (99% covered).
-    step_collapse          step size below which the walk is declared stuck;
-                           with the graph slope above blowup_soft and |psi|
-                           growing this is the blow-up exit.
-    blowup_soft            slope floor for the step-collapse blow-up exit.
-    max_samples            stored samples per trace (curvature-weighted
-                           thinning above this).
-    keep_full_resolution   bypass thinning.
+    keep_full_resolution   bypass thinning to ``MAX_SAMPLES``.
+
+    The endpoint, step-collapse and sample-budget settings are the module
+    constants above.
     """
 
     tol: float = 1e-10
@@ -106,23 +109,14 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
     epsilon: float = 1e-6
     max_step: float = 0.01
-    endpoint_tol: float = 1e-12
-    endpoint_start_window: float = 1e-3
-    endpoint_cover: float = 0.01
-    step_collapse: float = 1e-14
-    blowup_soft: float = 1e4
-    max_samples: int = 4096
     keep_full_resolution: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("tol", "blowup_threshold", "epsilon", "max_step",
-                     "endpoint_tol", "step_collapse", "blowup_soft"):
+        for name in ("tol", "blowup_threshold", "epsilon", "max_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_steps < 1 or self.max_samples < 2:
-            raise ValueError("step and sample budgets must be positive")
-        if not 0.0 < self.endpoint_cover < 1.0:
-            raise ValueError(f"endpoint_cover must be in (0, 1), got {self.endpoint_cover}")
+        if self.max_steps < 1:
+            raise ValueError("the step budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -267,8 +261,8 @@ def integrate_from(
     r, y = seed.r, seed.psi
     psi = y
     gap0 = abs(endpoint - r)
-    relative_rule = gap0 <= cfg.endpoint_start_window
-    stop_gap = max(cfg.endpoint_tol, cfg.endpoint_cover * gap0 if relative_rule else 0.0)
+    relative_rule = gap0 <= ENDPOINT_START_WINDOW
+    stop_gap = max(ENDPOINT_TOL, ENDPOINT_COVER * gap0 if relative_rule else 0.0)
     # Landing exactly on the stop radius keeps the endpoint-derivative
     # measurement a smooth function of the seeding offset, which the
     # extrapolation in the endpoint-law checks relies on.
@@ -299,7 +293,7 @@ def integrate_from(
         return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
                                 location=location)
 
-    if gap0 <= cfg.endpoint_tol:
+    if gap0 <= ENDPOINT_TOL:
         return finish(endpoint_event(), 0, 0, 0.0, 0.0)
 
     accepted = 0
@@ -371,12 +365,12 @@ def integrate_from(
             factor = min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h *= factor
 
-        if abs(h) < cfg.step_collapse:
+        if abs(h) < STEP_COLLAPSE:
             # Trigger on the graph slope, not on psi: a pole sitting close
             # to r = +-1 collapses the step while psi is still moderate,
             # but psi / (k sqrt(1-r^2)) is already enormous there.
             slope = abs(psi) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
-            if slope > cfg.blowup_soft and abs(psi) >= prev_abs_psi:
+            if slope > BLOWUP_SOFT and abs(psi) >= prev_abs_psi:
                 return finish(blowup_event(psi > 0.0, r),
                               accepted, rejected, hmin_seen, hmax_seen)
             event = TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
@@ -561,8 +555,8 @@ def maximal_trace(
 
     crossings = _find_crossings(p, r, psi, dpsi)
 
-    if not cfg.keep_full_resolution and len(r) > cfg.max_samples:
-        idx = _thin_indices(r, psi, cfg.max_samples, protected=[0, seed_idx, len(r) - 1])
+    if not cfg.keep_full_resolution and len(r) > MAX_SAMPLES:
+        idx = _thin_indices(r, psi, MAX_SAMPLES, protected=[0, seed_idx, len(r) - 1])
         r, psi, dpsi, vprime, v = r[idx], psi[idx], dpsi[idx], vprime[idx], v[idx]
 
     stats = StepStats(

@@ -47,15 +47,6 @@ class PhasePoint:
             raise ValueError(f"phase point needs finite psi, got {self.psi}")
 
 
-@dataclass(frozen=True)
-class GuideCurves:
-    """Callable bundle for the two guide curves sharing the singular level R."""
-
-    R: float
-    eta_at: Callable[[float], float]
-    zeta_at: Callable[[float], float]
-
-
 def psi_rhs(p: SolitonParams, r: float, psi: float) -> float:
     """Right-hand side of the first-order slope equation.
 
@@ -122,14 +113,6 @@ def zeta(p: SolitonParams, r: float, side: float = 1.0) -> float:
     if r == p.R:
         return -math.inf if side > 0 else math.inf
     return -1.0 / (p.k * (p.n - 1) * (r - p.R))
-
-
-def guide_curves(p: SolitonParams) -> GuideCurves:
-    return GuideCurves(
-        R=p.R,
-        eta_at=lambda r, side=1.0: eta(p, r, side),
-        zeta_at=lambda r, side=1.0: zeta(p, r, side),
-    )
 
 
 def sign_region(p: SolitonParams, r: float, psi: float, eta_tol: float = 1e-9) -> str:

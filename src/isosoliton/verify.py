@@ -80,16 +80,12 @@ class IsoparametricFn:
 
 
 def iso_poly(f: IsoparametricFn, x: np.ndarray) -> float:
-    """Ambient polynomial h at a point of R^{n+1} (any radius)."""
+    """Ambient polynomial h at a point of R^{n+1} (any radius); on the unit
+    sphere this is the isoparametric level r."""
     if f.kind == ISO_K1:
         return float(x[-1])
     s = float(np.dot(x[: f.l], x[: f.l]))
     return s - float(np.dot(x[f.l :], x[f.l :]))
-
-
-def iso_value(f: IsoparametricFn, x: np.ndarray) -> float:
-    """Isoparametric level r at a unit vector (h restricted to the sphere)."""
-    return iso_poly(f, x)
 
 
 def iso_poly_grad(f: IsoparametricFn, x: np.ndarray) -> np.ndarray:
@@ -122,13 +118,6 @@ def level_of_theta(theta: float) -> float:
     if not 0.0 <= theta <= 0.5 * math.pi:
         raise ValueError(f"colatitude must be in [0, pi/2], got {theta}")
     return math.cos(2.0 * theta)
-
-
-def level_set_param(f: IsoparametricFn, t: float) -> float:
-    """Colatitude parametrization of K2 level sets."""
-    if f.kind != ISO_K2:
-        raise ValueError("level-set colatitude applies to the K2 family only")
-    return theta_of_level(t)
 
 
 @dataclass(frozen=True)
@@ -341,7 +330,7 @@ def isoparametric_identities(
     grad_err = 0.0
     lap_err = 0.0
     for x in pts:
-        t = iso_value(f, x)
+        t = iso_poly(f, x)
         g = _fd_gradient4(ext, x, fd_step)
         grad_err = max(grad_err, abs(float(g @ g) - k * k * (1.0 - t * t)))
         lap = _fd_laplacian4(ext, x, fd_step)
@@ -393,7 +382,7 @@ def graph_from_trace(p: SolitonParams, trace: Trace, f: IsoparametricFn) -> Call
     lo, hi = float(trace.r[0]), float(trace.r[-1])
 
     def u(x: np.ndarray) -> float:
-        t = iso_value(f, x)
+        t = iso_poly(f, x)
         if not lo <= t <= hi:
             raise ValueError(f"level r={t} outside integrated span [{lo}, {hi}]")
         return float(spline(t))
@@ -421,7 +410,7 @@ def sphere_points_in_band(
     for _ in range(1000):
         batch = rng.normal(size=(max(4 * n_points, 256), f.n + 1))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        levels = np.array([iso_value(f, x) for x in batch])
+        levels = np.array([iso_poly(f, x) for x in batch])
         good = batch[(levels >= t_lo) & (levels <= t_hi)]
         take = min(len(good), n_points - have)
         out[have : have + take] = good[:take]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from isosoliton import classifier
 from isosoliton import (
     BLOWUP_MINUS,
     BLOWUP_PLUS,
@@ -74,6 +75,15 @@ class TestSevenTypes:
         assert shape.v_type == "VI"
         assert tr.left_event.kind == "RegularEndpoint"
         assert tr.right_event.kind == BLOWUP_PLUS
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the run from the endpoint seed toward its own focal level amplifies "
+        "the seeding error by ~100^5 and ends at the step-collapse exit"))
+    def test_type_vi_endpoint_seed_k1_n11(self):
+        p = make_params(1, 11, 10, 10)
+        tr = maximal_trace(p, endpoint_seed(p, -1, CFG.epsilon), CFG)
+        assert tr.left_event.kind == "RegularEndpoint"
+        assert classify(tr).v_type == "VI"
 
     def test_type_vii_regular_at_plus_one(self):
         shape = classify(maximal_trace(P12, endpoint_seed(P12, +1, 1e-6), CFG))
@@ -228,6 +238,23 @@ class TestSweep:
         for a, b in zip(serial.entries, parallel.entries):
             assert a.seed == b.seed
             assert shape_to_dict(a.shape) == shape_to_dict(b.shape)
+
+    def test_numeric_failure_is_per_seed_data(self, monkeypatch):
+        def fail(p, seed, cfg):
+            raise ValueError("no trace")
+
+        monkeypatch.setattr(classifier, "maximal_trace", fail)
+        res = sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, workers=1)
+        assert res.errors == ((PhasePoint(0.0, 0.0), "ValueError: no trace"),)
+        assert res.entries[0].shape is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(p, seed, cfg):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(classifier, "maximal_trace", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, workers=1)
 
     def test_sweep_to_dict_structure(self):
         seeds = grid_seeds((-0.3, 0.3), (-1.0, 1.0), 2, 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import math
 import warnings
 
@@ -37,7 +38,7 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
-from isosoliton.integrator import U_ENTER
+from isosoliton.integrator import MAX_SAMPLES, U_ENTER
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -168,12 +169,15 @@ class TestBlowupTail:
         assert half.event.kind == BLOWUP_PLUS
         assert half.event.location == half.r[-1]
         assert abs(half.psi[-1]) >= 50.0
-        # step collapse at a large graph slope while psi is still moderate
-        cfg = dataclasses.replace(CFG, step_collapse=1e-8, blowup_soft=100.0)
-        half = integrate_from(P12, PhasePoint(-0.63, 0.5), -1, cfg)
-        assert half.event.kind == BLOWUP_MINUS
+        # step collapse at a large graph slope while psi is still moderate:
+        # a pole jammed against r = +1, reached about 2e-11 short of it
+        p = make_params(4, 8, 4, 3)
+        seed = PhasePoint(-0.35456322457985834, -7.011799937538605)
+        half = integrate_from(p, seed, +1, CFG)
+        assert half.event.kind == BLOWUP_PLUS
         assert half.event.location == half.r[-1]
         assert abs(half.psi[-1]) < U_ENTER
+        assert 0.0 < 1.0 - half.r[-1] < 1e-10
 
 
 def _crossings_by_loop(p, r, psi, dpsi):
@@ -256,7 +260,7 @@ class TestMaximalTrace:
 
     def test_thinning_cap(self):
         tr = maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)
-        assert len(tr.r) <= CFG.max_samples
+        assert len(tr.r) <= MAX_SAMPLES
         full = maximal_trace(
             P12, PhasePoint(0.0, 0.0),
             dataclasses.replace(CFG, keep_full_resolution=True),
@@ -341,6 +345,12 @@ class TestSerialization:
         assert d["n_samples"] == len(tr.r)
         kinds = {c["kind"] for c in d["crossings"]}
         assert CROSSING_ZERO in kinds
+
+    def test_json_cfg_is_the_settable_config(self):
+        cfg = IntegratorConfig(tol=1e-9, max_step=0.02, keep_full_resolution=True)
+        tr = maximal_trace(P12, PhasePoint(0.0, 0.0), cfg)
+        block = json.loads(json.dumps(trace_to_json(tr)))["cfg"]
+        assert IntegratorConfig(**block) == tr.cfg
 
 
 class TestConfigValidation:

@@ -20,7 +20,6 @@ from isosoliton import (
     bound_h2hat,
     bound_h3,
     eta,
-    guide_curves,
     make_params,
     mirror_params,
     psi_rhs,
@@ -114,12 +113,6 @@ class TestGuideCurves:
     def test_vanishes_at_focal_levels(self):
         assert eta(P12, 1.0) == 0.0
         assert eta(P12, -1.0) == 0.0
-
-    def test_bundle_matches_functions(self):
-        g = guide_curves(P24)
-        assert g.R == P24.R
-        assert g.eta_at(0.7) == eta(P24, 0.7)
-        assert g.zeta_at(0.7) == zeta(P24, 0.7)
 
     def test_rhs_vanishes_on_guide_curve(self):
         """eta is exactly the nullcline of the slope equation."""

@@ -22,10 +22,8 @@ from isosoliton import (
     iso_poly,
     iso_poly_grad,
     iso_poly_lap,
-    iso_value,
     isoparametric_identities,
     level_of_theta,
-    level_set_param,
     make_params,
     maximal_trace,
     ode_residual_at,
@@ -40,14 +38,14 @@ class TestFamilies:
     def test_k1_values(self):
         f = IsoparametricFn(ISO_K1, 3)
         x = np.array([0.0, 0.0, 0.6, 0.8])
-        assert iso_value(f, x) == pytest.approx(0.8)
+        assert iso_poly(f, x) == pytest.approx(0.8)
         assert f.k == 1
         assert f.multiplicities == (2, 2)
 
     def test_k2_values(self):
         f = IsoparametricFn(ISO_K2, 3, l=2)
         x = np.array([0.6, 0.0, 0.8, 0.0])
-        assert iso_value(f, x) == pytest.approx(0.36 - 0.64)
+        assert iso_poly(f, x) == pytest.approx(0.36 - 0.64)
         assert f.k == 2
         assert f.multiplicities == (1, 1)
 
@@ -76,13 +74,6 @@ class TestFamilies:
         theta = theta_of_level(t)
         assert 0.0 <= theta <= 0.5 * math.pi
         assert level_of_theta(theta) == pytest.approx(t, abs=1e-12)
-
-    def test_level_set_param_k2_only(self):
-        f1 = IsoparametricFn(ISO_K1, 2)
-        with pytest.raises(ValueError):
-            level_set_param(f1, 0.0)
-        f2 = IsoparametricFn(ISO_K2, 3, l=1)
-        assert level_set_param(f2, 1.0) == 0.0
 
 
 class TestIdentities:
