@@ -50,8 +50,8 @@ class PlotConfig:
         bad = [o for o in self.overlays if o not in OVERLAY_CHOICES]
         if bad:
             raise ValueError(f"unknown overlays {bad}; choose from {OVERLAY_CHOICES}")
-        if self.ymax is not None and not self.ymax > 0.0:
-            raise ValueError(f"ymax must be positive, got {self.ymax}")
+        if self.ymax is not None and not (math.isfinite(self.ymax) and self.ymax > 0.0):
+            raise ValueError(f"ymax must be finite and positive, got {self.ymax}")
 
 
 def _px(v: float) -> str:

@@ -308,13 +308,18 @@ class SweepResult:
         return len(self.entries)
 
 
+# What a numeric failure of one run raises: per-seed data in a sweep, exit 3
+# on the command line.  Any other exception is a programming error and
+# propagates.
+NUMERIC_FAILURES = (ValueError, RuntimeError, ArithmeticError)
+
+
 def _sweep_one(args: tuple[SolitonParams, PhasePoint, IntegratorConfig, float]) -> SweepEntry:
     p, seed, cfg, tol = args
     try:
         shape = classify(maximal_trace(p, seed, cfg), tol=tol)
         return SweepEntry(seed=seed, shape=shape, error=None)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # numeric failures are per-seed data; a programming error propagates
+    except NUMERIC_FAILURES as exc:
         return SweepEntry(seed=seed, shape=None, error=f"{type(exc).__name__}: {exc}")
 
 

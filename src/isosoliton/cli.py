@@ -1,8 +1,17 @@
 """Command line surface: integrate, classify, sweep, verify, emit artifacts.
 
 Outputs are byte-identical for identical flags: fixed RNG seeds, fixed
-float formatting, deterministic file names.  Exit codes: 0 success, 2 bad
-flags, 3 numeric failure, 4 unlisted shape under ``sweep --strict``.
+float formatting, deterministic file names.
+
+Exit codes: 0 success; 2 bad flags; 3 numeric failure; 4 unlisted shape
+under ``sweep --strict``.  A flag value is checked once, by the library
+type that consumes it (``make_params``, ``IntegratorConfig``,
+``PhasePoint``, ``endpoint_seed``, ``_svg.PlotConfig``,
+``IsoparametricFn``); its ValueError becomes the usage error, before any
+integration starts.  Flags no library type takes (grids, ranges, counts,
+formats) are checked by their argparse converters.  A numeric failure is
+any of ``classifier.NUMERIC_FAILURES`` raised by the command itself;
+``main`` reports it once, as a JSON payload on stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -19,6 +29,7 @@ from . import _svg
 from .catalog import SolitonParams, make_params, params_to_dict
 from .classifier import (
     DEFAULT_CROSSING_TOL,
+    NUMERIC_FAILURES,
     ROMANS,
     classification_report,
     classify,
@@ -29,6 +40,7 @@ from .classifier import (
 )
 from .integrator import (
     IntegratorConfig,
+    Trace,
     endpoint_seed,
     endpoint_vprime_extrapolated,
     endpoint_vprime_limit,
@@ -58,16 +70,53 @@ OUT_ENV = "ISOSOLITON_OUT"
 
 VERIFY_CHECKS = ("grim-reaper", "identities", "ode-residual", "endpoint-law")
 
+_T = TypeVar("_T")
 
-class _NumericFailure(Exception):
-    """Wraps a numeric error so main() can emit the JSON report once."""
 
-    def __init__(self, command: str, exc: Exception):
-        super().__init__(str(exc))
-        self.payload = {
-            "error": f"{type(exc).__name__}: {exc}",
-            "command": command,
-        }
+def _usage(ap: argparse.ArgumentParser, build: Callable[..., _T], *args, **kwargs) -> _T:
+    """``build(*args, **kwargs)``, its ValueError reported as a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        ap.error(str(exc))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _grid(text: str) -> tuple[int, int]:
+    parts = text.lower().split("x")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expects NRxNPSI, got {text!r}")
+    try:
+        nr, npsi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}") from None
+    if nr < 1 or npsi < 1:
+        raise argparse.ArgumentTypeError("dimensions must be >= 1")
+    return nr, npsi
+
+
+def _range(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expects LO,HI, got {text!r}")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects numbers, got {text!r}") from None
+    # a finite width keeps every grid point finite
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise argparse.ArgumentTypeError(f"needs finite LO < HI, got {text!r}")
+    return lo, hi
 
 
 def _add_params_flags(ap: argparse.ArgumentParser) -> None:
@@ -80,10 +129,11 @@ def _add_params_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _add_cfg_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--tol", type=float, default=1e-10, help="integrator error tolerance")
-    ap.add_argument("--blowup-threshold", type=float, default=1e8)
-    ap.add_argument("--max-steps", type=int, default=1_000_000)
-    ap.add_argument("--epsilon", type=float, default=1e-6,
+    default = IntegratorConfig()
+    ap.add_argument("--tol", type=float, default=default.tol, help="integrator error tolerance")
+    ap.add_argument("--blowup-threshold", type=float, default=default.blowup_threshold)
+    ap.add_argument("--max-steps", type=int, default=default.max_steps)
+    ap.add_argument("--epsilon", type=float, default=default.epsilon,
                     help="offset of endpoint seeds from the focal level")
 
 
@@ -112,35 +162,12 @@ def _params_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> 
             m1 = m2 = args.n - 1
         else:
             ap.error("multiplicities required: --m (k in {1,3,6}) or --m1/--m2 (k in {2,4})")
-    try:
-        return make_params(args.k, args.n, m1, m2)
-    except ValueError as exc:
-        ap.error(str(exc))
-        raise AssertionError("unreachable")
+    return _usage(ap, make_params, args.k, args.n, m1, m2)
 
 
 def _cfg_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> IntegratorConfig:
-    if args.tol <= 0 or args.blowup_threshold <= 0 or args.max_steps <= 0:
-        ap.error("tolerances and budgets must be positive")
-    try:
-        return IntegratorConfig(
-            tol=args.tol,
-            blowup_threshold=args.blowup_threshold,
-            max_steps=args.max_steps,
-            epsilon=args.epsilon,
-        )
-    except ValueError as exc:
-        ap.error(str(exc))
-        raise AssertionError("unreachable")
-
-
-def _endpoint_seed(ap: argparse.ArgumentParser, p: SolitonParams, which: int,
-                   epsilon: float) -> PhasePoint:
-    try:
-        return endpoint_seed(p, which, epsilon)
-    except ValueError as exc:
-        ap.error(f"--epsilon: {exc}")
-        raise AssertionError("unreachable")
+    return _usage(ap, IntegratorConfig, tol=args.tol, blowup_threshold=args.blowup_threshold,
+                  max_steps=args.max_steps, epsilon=args.epsilon)
 
 
 def _seed_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
@@ -149,14 +176,17 @@ def _seed_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
     if has_point and args.endpoint is not None:
         ap.error("--seed-r/--seed-psi conflicts with --endpoint")
     if args.endpoint is not None:
-        return _endpoint_seed(ap, p, args.endpoint, args.epsilon)
+        return _usage(ap, endpoint_seed, p, args.endpoint, args.epsilon)
     if args.seed_r is None or args.seed_psi is None:
         ap.error("seed required: --seed-r with --seed-psi, or --endpoint")
-    try:
-        return PhasePoint(args.seed_r, args.seed_psi)
-    except ValueError as exc:
-        ap.error(str(exc))
-        raise AssertionError("unreachable")
+    return _usage(ap, PhasePoint, args.seed_r, args.seed_psi)
+
+
+def _trace_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
+                     p: SolitonParams) -> Trace:
+    """The maximal run the cfg and seed flags ask for."""
+    cfg = _cfg_from_args(ap, args)
+    return maximal_trace(p, _seed_from_args(ap, args, p), cfg)
 
 
 def _out_dir(args: argparse.Namespace) -> str:
@@ -185,7 +215,7 @@ def _shape_labels(trace) -> dict[str, str]:
 
 
 def _parse_formats(ap: argparse.ArgumentParser, args: argparse.Namespace) -> set[str]:
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+    formats = set(args.formats)
     if args.svg:
         formats.add("svg")
     bad = formats - {"csv", "json", "svg"}
@@ -196,26 +226,12 @@ def _parse_formats(ap: argparse.ArgumentParser, args: argparse.Namespace) -> set
     return formats
 
 
-def _overlays_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, ...]:
-    names = tuple(o.strip() for o in args.overlays.split(",") if o.strip())
-    bad = [o for o in names if o not in _svg.OVERLAY_CHOICES]
-    if bad:
-        ap.error(f"unknown overlays {bad}; choose from {','.join(_svg.OVERLAY_CHOICES)}")
-    return names
-
-
 def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
-    cfg = _cfg_from_args(ap, args)
-    seed = _seed_from_args(ap, args, p)
     formats = _parse_formats(ap, args)
-    overlays = _overlays_from_args(ap, args)
+    plot = _usage(ap, _svg.PlotConfig, ymax=args.ymax, overlays=args.overlays)
+    trace = _trace_from_args(ap, args, p)
     out = _out_dir(args)
-
-    try:
-        trace = maximal_trace(p, seed, cfg)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        raise _NumericFailure("trace", exc)
 
     written = []
     if "csv" in formats:
@@ -226,10 +242,7 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if "json" in formats:
         written.append(_write(out, "trace.json", _json_text(trace_to_json(trace))))
     if "svg" in formats:
-        figs = _svg.trace_figures(
-            p, trace, _shape_labels(trace),
-            _svg.PlotConfig(ymax=args.ymax, overlays=overlays),
-        )
+        figs = _svg.trace_figures(p, trace, _shape_labels(trace), plot)
         for key in ("psi", "vprime", "v"):
             written.append(_write(out, f"{key}.svg", figs[key]))
     print(f"left: {trace.left_event.kind} at {trace.left_event.location:.6g}")
@@ -241,15 +254,9 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_classify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
-    cfg = _cfg_from_args(ap, args)
-    seed = _seed_from_args(ap, args, p)
+    trace = _trace_from_args(ap, args, p)
+    shape = classify(trace, tol=args.crossing_tol)
     out = _out_dir(args)
-
-    try:
-        trace = maximal_trace(p, seed, cfg)
-        shape = classify(trace, tol=args.crossing_tol)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        raise _NumericFailure("classify", exc)
     domain = None
     if p.k in (1, 2, 3) and not shape.is_unlisted:
         domain = domain_report(p, shape)
@@ -263,48 +270,15 @@ def cmd_classify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(ap: argparse.ArgumentParser, text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        ap.error(f"--grid expects NRxNPSI, got {text!r}")
-    try:
-        nr, npsi = int(parts[0]), int(parts[1])
-    except ValueError:
-        ap.error(f"--grid expects integers, got {text!r}")
-        raise AssertionError("unreachable")
-    if nr < 1 or npsi < 1:
-        ap.error("--grid dimensions must be >= 1")
-    return nr, npsi
-
-
-def _parse_range(ap: argparse.ArgumentParser, text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        ap.error(f"{flag} expects LO,HI, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        ap.error(f"{flag} expects numbers, got {text!r}")
-        raise AssertionError("unreachable")
-    if not lo < hi:
-        ap.error(f"{flag} needs LO < HI")
-    return lo, hi
-
-
 def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
     cfg = _cfg_from_args(ap, args)
-    nr, npsi = _parse_grid(ap, args.grid)
-    r_range = _parse_range(ap, args.r_range, "--r-range")
-    psi_range = _parse_range(ap, args.psi_range, "--psi-range")
-    if not (-1.0 < r_range[0] and r_range[1] < 1.0):
+    if not (-1.0 < args.r_range[0] and args.r_range[1] < 1.0):
         ap.error("--r-range must stay inside (-1, 1)")
-    if args.workers < 1:
-        ap.error("--workers must be >= 1")
     workers = min(args.workers, os.cpu_count() or 1)
-    seeds = grid_seeds(r_range, psi_range, nr, npsi)
+    seeds = grid_seeds(args.r_range, args.psi_range, *args.grid)
     if args.with_endpoints:
-        seeds += [_endpoint_seed(ap, p, -1, args.epsilon), _endpoint_seed(ap, p, +1, args.epsilon)]
+        seeds += [_usage(ap, endpoint_seed, p, which, args.epsilon) for which in (-1, 1)]
     out = _out_dir(args)
 
     result = sweep(p, seeds, cfg=cfg, tol=args.crossing_tol, workers=workers)
@@ -346,12 +320,8 @@ def _check_grim_reaper(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _check_identities(ap: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[dict, bool]:
-    if args.family == "k1":
-        f = IsoparametricFn(ISO_K1, args.n)
-    else:
-        if args.l is None:
-            ap.error("--family k2 requires --l")
-        f = IsoparametricFn(ISO_K2, args.n, l=args.l)
+    kind = ISO_K1 if args.family == "k1" else ISO_K2
+    f = _usage(ap, IsoparametricFn, kind, args.n, l=args.l)
     rep = isoparametric_identities(f, n_points=args.points, seed=args.rng_seed)
     fd = max(rep.grad_sphere_max_err, rep.lap_sphere_max_err)
     amb = max(rep.grad_ambient_max_err, rep.lap_ambient_max_err)
@@ -401,18 +371,15 @@ def _check_endpoint_law(ap: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def cmd_verify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.check == "grim-reaper":
+        payload, ok = _check_grim_reaper(args)
+    elif args.check == "identities":
+        payload, ok = _check_identities(ap, args)
+    elif args.check == "ode-residual":
+        payload, ok = _check_ode_residual(ap, args)
+    else:
+        payload, ok = _check_endpoint_law(ap, args)
     out = _out_dir(args)
-    try:
-        if args.check == "grim-reaper":
-            payload, ok = _check_grim_reaper(args)
-        elif args.check == "identities":
-            payload, ok = _check_identities(ap, args)
-        elif args.check == "ode-residual":
-            payload, ok = _check_ode_residual(ap, args)
-        else:
-            payload, ok = _check_endpoint_law(ap, args)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        raise _NumericFailure("verify", exc)
     payload["pass"] = ok
     path = _write(out, "verify.json", _json_text(payload))
     print(f"{'PASS' if ok else 'FAIL'}; wrote {path}")
@@ -423,8 +390,6 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
     if p.k not in (1, 2, 3):
         ap.error("domain statements are available for k in {1, 2, 3}")
-    cfg = _cfg_from_args(ap, args)
-    out = _out_dir(args)
 
     has_seed = args.seed_r is not None or args.seed_psi is not None or args.endpoint is not None
     if not has_seed:
@@ -436,23 +401,18 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             args.endpoint = 1
         else:
             ap.error("--type I..V needs an explicit seed (--seed-r/--seed-psi)")
-    seed = _seed_from_args(ap, args, p)
-
-    try:
-        trace = maximal_trace(p, seed, cfg)
-        shape = classify(trace, tol=args.crossing_tol)
-        if shape.is_unlisted:
-            raise ValueError("seed produced an unlisted shape; no domain statement")
-        if args.type is not None and shape.v_type != args.type:
-            raise ValueError(
-                f"seed produced type {shape.v_type}, not the requested {args.type}")
-        domain = domain_report(p, shape)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        raise _NumericFailure("domain", exc)
+    trace = _trace_from_args(ap, args, p)
+    shape = classify(trace, tol=args.crossing_tol)
+    if shape.is_unlisted:
+        raise ValueError("seed produced an unlisted shape; no domain statement")
+    if args.type is not None and shape.v_type != args.type:
+        raise ValueError(f"seed produced type {shape.v_type}, not the requested {args.type}")
+    domain = domain_report(p, shape)
+    out = _out_dir(args)
 
     payload = {
         "params": params_to_dict(p),
-        "seed": {"r": seed.r, "psi": seed.psi},
+        "seed": {"r": trace.seed.r, "psi": trace.seed.psi},
         "type": shape.v_type,
         "contains_focal_minus": domain.contains_focal_minus,
         "contains_focal_plus": domain.contains_focal_plus,
@@ -484,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_flags(t)
     _add_cfg_flags(t)
     _add_out_flag(t)
-    t.add_argument("--formats", default="csv,json", help="comma list from csv,json,svg")
+    t.add_argument("--formats", type=_comma_list, default="csv,json",
+                   help="comma list from csv,json,svg")
     t.add_argument("--svg", action="store_true", help="also write the three figures")
-    t.add_argument("--overlays", default=",".join(_svg.OVERLAY_CHOICES),
+    t.add_argument("--overlays", type=_comma_list, default=",".join(_svg.OVERLAY_CHOICES),
                    help="comma list from eta,zeta,R-line")
     t.add_argument("--ymax", type=float, default=None, help="symmetric vertical range for slope figures")
     t.set_defaults(func=cmd_trace)
@@ -503,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(s)
     _add_cfg_flags(s)
     _add_out_flag(s)
-    s.add_argument("--grid", default="21x21", help="NRxNPSI seed grid")
-    s.add_argument("--r-range", default="-0.9,0.9")
-    s.add_argument("--psi-range", default="-5,5")
+    s.add_argument("--grid", type=_grid, default="21x21", help="NRxNPSI seed grid")
+    s.add_argument("--r-range", type=_range, default="-0.9,0.9")
+    s.add_argument("--psi-range", type=_range, default="-5,5")
     s.add_argument("--with-endpoints", action="store_true",
                    help="add the two endpoint-seeded runs")
-    s.add_argument("--workers", type=int, default=1,
+    s.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at least 1; more than the CPU count are clamped to it")
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
@@ -517,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one of the built-in ground-truth checks")
     v.add_argument("--check", required=True, choices=VERIFY_CHECKS)
-    v.add_argument("--points", type=int, default=1000)
+    v.add_argument("--points", type=_positive_int, default=1000)
     v.add_argument("--rng-seed", type=int, default=0)
     v.add_argument("--family", choices=("k1", "k2"), default="k1",
                    help="identities: which foliation family")
@@ -551,8 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--check {args.check} requires --k/--n")
     try:
         return args.func(ap, args)
-    except _NumericFailure as fail:
-        print(json.dumps(fail.payload, indent=2))
+    except NUMERIC_FAILURES as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "command": args.command},
+                         indent=2))
         return EXIT_NUMERIC
 
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .catalog import SolitonParams, params_to_dict
 from .phase import PhasePoint, _bisect, eta, psi_rhs, u_rhs
@@ -428,7 +427,7 @@ def _locate_pole(rhs: Callable[[float, float], float], r0: float, u0: float,
 
 def _hermite_eval(x0: float, x1: float, y0: float, y1: float,
                   d0: float, d1: float, x: float) -> float:
-    """Cubic Hermite value on [x0, x1] at x."""
+    """Cubic Hermite value on [x0, x1] at x (floats, or arrays elementwise)."""
     h = x1 - x0
     s = (x - x0) / h
     s2 = s * s
@@ -574,16 +573,22 @@ def maximal_trace(
     )
 
 
-def psi_interpolant(trace: Trace) -> CubicHermiteSpline:
-    """Dense C^1 evaluation of psi over the trace's r span."""
-    return CubicHermiteSpline(trace.r, trace.psi, trace.dpsi)
+def psi_at(trace: Trace, r: float | np.ndarray) -> float | np.ndarray:
+    """Dense-output value of psi at points of the trace span (scalar or array).
 
-
-def psi_at(trace: Trace, r: float) -> float:
-    """Dense-output value of psi at an interior point of the trace span."""
-    if not trace.r[0] <= r <= trace.r[-1]:
+    Each point is evaluated on the cubic Hermite model of its bracketing
+    sample segment; a one-sample trace returns its sample.
+    """
+    x = np.asarray(r, dtype=float)
+    if not np.all((trace.r[0] <= x) & (x <= trace.r[-1])):
         raise ValueError(f"r={r} outside trace span [{trace.r[0]}, {trace.r[-1]}]")
-    return float(psi_interpolant(trace)(r))
+    if len(trace.r) == 1:
+        val = np.full(x.shape, trace.psi[0])
+    else:
+        i = np.minimum(np.searchsorted(trace.r, x, side="right"), len(trace.r) - 1) - 1
+        val = _hermite_eval(trace.r[i], trace.r[i + 1], trace.psi[i], trace.psi[i + 1],
+                            trace.dpsi[i], trace.dpsi[i + 1], x)
+    return float(val) if x.ndim == 0 else val
 
 
 def trace_deviation(a: Trace, b: Trace, window: tuple[float, float], npts: int = 1001) -> float:
@@ -593,7 +598,7 @@ def trace_deviation(a: Trace, b: Trace, window: tuple[float, float], npts: int =
         if not (t.r[0] <= lo and hi <= t.r[-1]):
             raise ValueError(f"window {window} outside trace span [{t.r[0]}, {t.r[-1]}]")
     grid = np.linspace(lo, hi, npts)
-    return float(np.max(np.abs(psi_interpolant(a)(grid) - psi_interpolant(b)(grid))))
+    return float(np.max(np.abs(psi_at(a, grid) - psi_at(b, grid))))
 
 
 def euler_walk(p: SolitonParams, seed: PhasePoint, r_stop: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -677,8 +682,6 @@ def self_convergence(
     if not (trace.r[0] <= lo and hi <= trace.r[-1]):
         raise ValueError(f"window {window} outside trace span")
 
-    spline = psi_interpolant(trace)
-
     def walk_dev(walker, h: float) -> tuple[float, int]:
         dev = 0.0
         steps = 0
@@ -687,7 +690,9 @@ def self_convergence(
                 continue
             rs, ys = walker(p, seed, stop, h)
             steps += len(rs) - 1
-            dev = max(dev, float(np.max(np.abs(ys - spline(rs)))))
+            # the walk's accumulated r may pass a window edge by rounding
+            at = psi_at(trace, np.clip(rs, trace.r[0], trace.r[-1]))
+            dev = max(dev, float(np.max(np.abs(ys - at))))
         return dev, steps
 
     dev_e, n_e = walk_dev(euler_walk, euler_h)

@@ -222,12 +222,63 @@ class TestDomain:
              "--seed-psi", "0.0", "--type", "VII"],
             tmp_path, capsys)
         assert code == EXIT_NUMERIC
-        assert "error" in out
+        payload = json.loads(out)
+        assert payload["command"] == "domain"
+        assert payload["error"].startswith("ValueError: seed produced type I")
 
     def test_interior_type_needs_seed(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["domain", "--k", "1", "--n", "2", "--type", "II"])
         assert e.value.code == EXIT_USAGE
+
+
+TRACE_ARGV = ["trace", "--k", "1", "--n", "2", "--seed-r", "0", "--seed-psi", "0"]
+SWEEP_ARGV = ["sweep", "--k", "1", "--n", "2", "--grid", "2x2"]
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("argv", [
+        TRACE_ARGV + ["--svg", "--ymax", "-1"],
+        TRACE_ARGV + ["--svg", "--ymax", "0"],
+        TRACE_ARGV + ["--svg", "--ymax", "nan"],
+        TRACE_ARGV + ["--svg", "--ymax", "inf"],
+        TRACE_ARGV + ["--svg", "--overlays", "eta,bogus"],
+        TRACE_ARGV + ["--tol", "nan"],
+        SWEEP_ARGV + ["--psi-range=-inf,inf"],
+        SWEEP_ARGV + ["--psi-range=-1e308,1e308"],
+        SWEEP_ARGV + ["--r-range=nan,0.5"],
+        ["verify", "--check", "identities", "--points", "0"],
+        ["verify", "--check", "ode-residual", "--k", "1", "--n", "2", "--points", "0"],
+        ["verify", "--check", "grim-reaper", "--points", "0"],
+        ["verify", "--check", "grim-reaper", "--points", "-1"],
+        ["verify", "--check", "identities", "--family", "k2", "--n", "3", "--l", "9"],
+        ["verify", "--check", "identities", "--family", "k2", "--n", "3"],
+    ])
+    def test_bad_flag_is_usage_error_and_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--out", str(out)])
+        assert e.value.code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, FloatingPointError, OverflowError,
+                                     RuntimeError, ValueError])
+    def test_numeric_failure_payload(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "maximal_trace", fail)
+        code, out = run_cli(TRACE_ARGV, tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert json.loads(out) == {"error": f"{exc.__name__}: boom", "command": "trace"}
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "maximal_trace", fail)
+        with pytest.raises(TypeError):
+            main(TRACE_ARGV + ["--out", str(tmp_path)])
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ class TestMaximalTrace:
         for c in etas:
             want = eta(P12, c.r)
             assert psi_at(tr, c.r) == pytest.approx(want, abs=1e-6)
+
+    def test_psi_at_matches_whole_trace_spline(self):
+        tr = maximal_trace(P23, PhasePoint(0.1, 0.5), CFG)
+        spline = CubicHermiteSpline(tr.r, tr.psi, tr.dpsi)
+        mids = 0.5 * (tr.r[1:] + tr.r[:-1])
+        for x in (tr.r, mids):
+            np.testing.assert_allclose(psi_at(tr, x), spline(x), rtol=1e-12, atol=1e-12)
+        assert psi_at(tr, float(mids[3])) == pytest.approx(float(spline(mids[3])), rel=1e-12)
+        assert psi_at(tr, tr.r[-1]) == tr.psi[-1]
+        with pytest.raises(ValueError):
+            psi_at(tr, tr.r[-1] + 1e-9)
+
+    def test_psi_at_one_sample(self):
+        one = SimpleNamespace(r=np.array([0.2]), psi=np.array([1.5]), dpsi=np.array([3.0]))
+        assert psi_at(one, 0.2) == 1.5
 
     def test_thinning_cap(self):
         tr = maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)
