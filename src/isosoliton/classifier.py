@@ -112,13 +112,22 @@ def _shape(index: int | None, zero_crossing: float | None, ev: Evidence) -> Shap
     )
 
 
+def check_crossing_tol(tol: float) -> float:
+    """``tol`` if it can be a crossing-at-R half-width: finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"crossing tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def classify(trace: Trace, tol: float = DEFAULT_CROSSING_TOL) -> ShapeType:
     """Assign the trace its shape type from events and crossings.
 
     ``tol`` is the half-width of the crossing-at-R band separating type I
-    from II/III.  Budget-exhausted traces are incomplete and raise; every
-    complete trace classifies (possibly as Unlisted).
+    from II/III (see :func:`check_crossing_tol`).  Budget-exhausted traces
+    are incomplete and raise; every complete trace classifies (possibly as
+    Unlisted).
     """
+    check_crossing_tol(tol)
     le, re = trace.left_event, trace.right_event
     if le.kind == BUDGET_EXHAUSTED or re.kind == BUDGET_EXHAUSTED:
         raise ValueError(
@@ -333,8 +342,10 @@ def sweep(
     """Classify a batch of seeds; collect per-seed failures instead of raising.
 
     ``workers`` > 1 distributes the integrations over processes; results are
-    returned in seed order either way.
+    returned in seed order either way.  A bad ``tol`` raises before any seed
+    runs.
     """
+    check_crossing_tol(tol)
     jobs = [(p, s, cfg, tol) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

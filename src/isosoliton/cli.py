@@ -7,7 +7,8 @@ Exit codes: 0 success; 2 bad flags; 3 numeric failure; 4 unlisted shape
 under ``sweep --strict``.  A flag value is checked once, by the library
 type that consumes it (``make_params``, ``IntegratorConfig``,
 ``PhasePoint``, ``endpoint_seed``, ``_svg.PlotConfig``,
-``IsoparametricFn``); its ValueError becomes the usage error, before any
+``IsoparametricFn``, and ``check_crossing_tol`` for ``classify`` and
+``sweep``); its ValueError becomes the usage error, before any
 integration starts.  Flags no library type takes (grids, ranges, counts,
 formats) are checked by their argparse converters.  A numeric failure is
 any of ``classifier.NUMERIC_FAILURES`` raised by the command itself;
@@ -31,6 +32,7 @@ from .classifier import (
     DEFAULT_CROSSING_TOL,
     NUMERIC_FAILURES,
     ROMANS,
+    check_crossing_tol,
     classification_report,
     classify,
     domain_report,
@@ -85,6 +87,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -254,8 +263,9 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_classify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
+    tol = _usage(ap, check_crossing_tol, args.crossing_tol)
     trace = _trace_from_args(ap, args, p)
-    shape = classify(trace, tol=args.crossing_tol)
+    shape = classify(trace, tol=tol)
     out = _out_dir(args)
     domain = None
     if p.k in (1, 2, 3) and not shape.is_unlisted:
@@ -273,6 +283,7 @@ def cmd_classify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     p = _params_from_args(ap, args)
     cfg = _cfg_from_args(ap, args)
+    tol = _usage(ap, check_crossing_tol, args.crossing_tol)
     if not (-1.0 < args.r_range[0] and args.r_range[1] < 1.0):
         ap.error("--r-range must stay inside (-1, 1)")
     workers = min(args.workers, os.cpu_count() or 1)
@@ -281,7 +292,7 @@ def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         seeds += [_usage(ap, endpoint_seed, p, which, args.epsilon) for which in (-1, 1)]
     out = _out_dir(args)
 
-    result = sweep(p, seeds, cfg=cfg, tol=args.crossing_tol, workers=workers)
+    result = sweep(p, seeds, cfg=cfg, tol=tol, workers=workers)
     path = _write(out, "sweep.json", _json_text(sweep_to_dict(result)))
 
     print(f"seeds: {result.n_seeds}")
@@ -401,8 +412,9 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             args.endpoint = 1
         else:
             ap.error("--type I..V needs an explicit seed (--seed-r/--seed-psi)")
+    tol = _usage(ap, check_crossing_tol, args.crossing_tol)
     trace = _trace_from_args(ap, args, p)
-    shape = classify(trace, tol=args.crossing_tol)
+    shape = classify(trace, tol=tol)
     if shape.is_unlisted:
         raise ValueError("seed produced an unlisted shape; no domain statement")
     if args.type is not None and shape.v_type != args.type:
@@ -479,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run one of the built-in ground-truth checks")
     v.add_argument("--check", required=True, choices=VERIFY_CHECKS)
     v.add_argument("--points", type=_positive_int, default=1000)
-    v.add_argument("--rng-seed", type=int, default=0)
+    v.add_argument("--rng-seed", type=_non_negative_int, default=0)
     v.add_argument("--family", choices=("k1", "k2"), default="k1",
                    help="identities: which foliation family")
     v.add_argument("--l", type=int, default=None, help="identities: k2 split index")

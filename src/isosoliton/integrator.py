@@ -29,6 +29,12 @@ coarse seed.  Covering a fixed fraction of the initial gap instead (stop at
 ``ENDPOINT_COVER`` of it) makes the measured endpoint derivative converge
 linearly in epsilon, which downstream extrapolation then cancels.
 
+The stepping kernels ``_dp5_psi`` and ``_dp5_u`` are the Dormand-Prince
+stages unrolled with the right-hand side inlined: they repeat the
+floating-point operations of ``phase.psi_rhs`` and ``phase.u_rhs`` in the
+same order, so a step is bit for bit the tableau walked over those
+functions, which stay the reference (the tests hold the kernels to it).
+
 Fixed-step Euler and RK4 walks are provided as independent cross-checks;
 they share nothing with the adaptive path except the right-hand side.
 """
@@ -112,8 +118,9 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol", "blowup_threshold", "epsilon", "max_step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.max_steps < 1:
             raise ValueError("the step budget must be positive")
 
@@ -185,27 +192,21 @@ class Trace:
     step_stats: StepStats
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# Error = 5th-order minus embedded 4th-order weights.
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# section II.5): nodes, stage weights, and the error weights, which are the
+# fifth-order minus the embedded fourth-order weights.  Stages 6 and 7 both
+# sit at r + h; the seventh is the first stage of the next step.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4 = 71 / 57600, 0.0, -71 / 16695, 71 / 1920
+_E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
+# What a kernel returns once a stage leaves the finite range.
+_STAGE_OVERFLOW = (math.nan, math.inf, math.nan)
 
 
 def endpoint_vprime_limit(p: SolitonParams, which: int) -> float:
@@ -250,9 +251,10 @@ def integrate_from(
     if direction not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {direction!r}")
 
-    k = p.k
-    psi_f: Callable[[float, float], float] = lambda r, y: psi_rhs(p, r, y)
-    rhs = psi_f
+    # as floats: the kernels then multiply float by float, the same values
+    # as int by float without CPython's mixed-type path
+    k, n1, R = float(p.k), float(p.n - 1), p.R
+    tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
     in_u = False
     sign = 1.0  # sgn psi while the walk carries u
     endpoint = float(direction)
@@ -269,7 +271,7 @@ def integrate_from(
 
     rs = [r]
     ys = [y]
-    k1 = rhs(r, y)
+    k1 = psi_rhs(p, r, y)
     ds = [k1]
 
     def finish(event: TerminationEvent, accepted: int, rejected: int,
@@ -300,19 +302,27 @@ def integrate_from(
     hmin_seen = math.inf
     hmax_seen = 0.0
     prev_abs_psi = abs(psi)
-    h = direction * min(cfg.max_step, 0.25 * gap0, 1e-3)
+    h = direction * min(max_step, 0.25 * gap0, 1e-3)
 
+    # min/max are spelled as comparisons that pick the same operand.
     for _attempt in range(cfg.max_steps):
-        gap = abs(endpoint - r)
-        hcap = min(cfg.max_step, 0.5 * gap)
+        hcap = 0.5 * abs(endpoint - r)
+        if not hcap < max_step:
+            hcap = max_step
         if abs(h) > hcap:
-            h = direction * hcap
-        if (r + h - r_stop) * direction >= 0.0:
+            h = endpoint * hcap
+        if (r + h - r_stop) * endpoint >= 0.0:
             h = r_stop - r
 
-        y_new, err, d_new = _dp5_step(rhs, r, y, k1, h)
+        if in_u:
+            y_new, err, d_new = _dp5_u(n1, R, k, sign, r, y, k1, h)
+        else:
+            y_new, err, d_new = _dp5_psi(n1, R, k, r, y, k1, h)
         if math.isfinite(y_new) and math.isfinite(err):
-            err_norm = abs(err) / (cfg.tol * (1.0 + max(abs(y), abs(y_new))))
+            scale = abs(y_new)
+            if not scale > abs(y):
+                scale = abs(y)
+            err_norm = abs(err) / (tol * (1.0 + scale))
         else:
             err_norm = math.inf
 
@@ -320,24 +330,27 @@ def integrate_from(
             r_new = r + h
             accepted += 1
             ah = abs(h)
-            hmin_seen = min(hmin_seen, ah)
-            hmax_seen = max(hmax_seen, ah)
+            if ah < hmin_seen:
+                hmin_seen = ah
+            if ah > hmax_seen:
+                hmax_seen = ah
             if in_u and y_new <= 0.0:  # the step crossed the pole
-                pole = _locate_pole(rhs, r, y, k1, r_new, y_new, d_new)
+                pole = _locate_pole(n1, R, k, sign, r, y, k1, r_new, y_new, d_new)
                 return finish(blowup_event(sign > 0.0, pole),
                               accepted, rejected, hmin_seen, hmax_seen)
             prev_abs_psi = abs(psi)
             r, y, k1 = r_new, y_new, d_new
             if in_u:
                 psi = sign / math.sqrt(y)
-                dpsi = psi_f(r, psi)
+                w = 1.0 - r * r  # positive: the step's last stage sat at r
+                dpsi = (psi * psi + 1.0) * (n1 * (r - R) * psi + math.sqrt(w)) / (k * w)
             else:
                 psi, dpsi = y, k1
             rs.append(r)
             ys.append(psi)
             ds.append(dpsi)
 
-            if abs(psi) >= cfg.blowup_threshold:
+            if abs(psi) >= threshold:
                 return finish(blowup_event(psi > 0.0, r),
                               accepted, rejected, hmin_seen, hmax_seen)
             # Slack of a few ulp of 1.0: the landed gap is |endpoint - r|
@@ -348,21 +361,19 @@ def integrate_from(
             if not in_u and abs(psi) > U_ENTER:
                 in_u = True
                 sign = math.copysign(1.0, psi)
-                rhs = lambda r, u, s=sign: u_rhs(p, r, u, s)
                 y = 1.0 / (psi * psi)
-                k1 = rhs(r, y)
+                k1 = u_rhs(p, r, y, sign)
             elif in_u and abs(psi) < U_LEAVE:
                 in_u = False
-                rhs = psi_f
                 y, k1 = psi, dpsi
         else:
             rejected += 1
 
         if err_norm == 0.0:
-            factor = 5.0
+            h *= 5.0
         else:
-            factor = min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        h *= factor
+            factor = 0.9 * err_norm ** -0.2
+            h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
 
         if abs(h) < STEP_COLLAPSE:
             # Trigger on the graph slope, not on psi: a pole sitting close
@@ -379,31 +390,153 @@ def integrate_from(
     return finish(event, accepted, rejected, hmin_seen, hmax_seen)
 
 
-def _dp5_step(rhs: Callable[[float, float], float], r: float, y: float,
-              k1: float, h: float) -> tuple[float, float, float]:
-    """One Dormand-Prince 5(4) step from (r, y) with y' = k1 there.
+def _singular(r: float) -> ValueError:
+    return ValueError(f"slope equation singular at |r| >= 1, got r={r}")
 
-    Returns the fifth-order value at r + h, the embedded error estimate and
-    the derivative at the new point (first same as last: the seventh stage
-    sits at (r + h, y_new)).  The value is NaN when a stage left the finite
-    range.
+
+def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
+             h: float) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step of psi' = F(r, psi) from (r, y), y' = k1.
+
+    ``n1`` is n - 1.  F is ``phase.psi_rhs`` inlined with the same
+    floating-point operations in the same order, so the step is bit for bit
+    the tableau walked over ``psi_rhs``.  Returns the fifth-order value at
+    r + h, the embedded error estimate and the derivative there (first same
+    as last: the seventh stage sits at (r + h, y_new)).  The value is NaN
+    when a stage left the finite range.
     """
-    ks = [k1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    for i in range(1, 7):
-        yi = y
-        a = _DP_A[i]
-        for j in range(i):
-            yi += h * a[j] * ks[j]
-        if not math.isfinite(yi):
-            return math.nan, math.inf, math.nan
-        ks[i] = rhs(r + _DP_C[i] * h, yi)
-    err = 0.0
-    for j in range(7):
-        err += _DP_E[j] * ks[j]
-    return yi, err * h, ks[6]
+    y2 = y + h * _A21 * k1
+    if not math.isfinite(y2):
+        return _STAGE_OVERFLOW
+    x = r + _C2 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    k2 = (y2 * y2 + 1.0) * (n1 * (x - R) * y2 + math.sqrt(w)) / (k * w)
+
+    y3 = y + h * _A31 * k1 + h * _A32 * k2
+    if not math.isfinite(y3):
+        return _STAGE_OVERFLOW
+    x = r + _C3 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    k3 = (y3 * y3 + 1.0) * (n1 * (x - R) * y3 + math.sqrt(w)) / (k * w)
+
+    y4 = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
+    if not math.isfinite(y4):
+        return _STAGE_OVERFLOW
+    x = r + _C4 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    k4 = (y4 * y4 + 1.0) * (n1 * (x - R) * y4 + math.sqrt(w)) / (k * w)
+
+    y5 = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
+    if not math.isfinite(y5):
+        return _STAGE_OVERFLOW
+    x = r + _C5 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    k5 = (y5 * y5 + 1.0) * (n1 * (x - R) * y5 + math.sqrt(w)) / (k * w)
+
+    y6 = y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5
+    if not math.isfinite(y6):
+        return _STAGE_OVERFLOW
+    x = r + h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    a = n1 * (x - R)
+    sq = math.sqrt(w)
+    kw = k * w
+    k6 = (y6 * y6 + 1.0) * (a * y6 + sq) / kw
+
+    y7 = (y + h * _A71 * k1 + h * _A72 * k2 + h * _A73 * k3 + h * _A74 * k4
+          + h * _A75 * k5 + h * _A76 * k6)
+    if not math.isfinite(y7):
+        return _STAGE_OVERFLOW
+    k7 = (y7 * y7 + 1.0) * (a * y7 + sq) / kw
+
+    err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
+           + _E6 * k6 + _E7 * k7)
+    return y7, err * h, k7
 
 
-def _locate_pole(rhs: Callable[[float, float], float], r0: float, u0: float,
+def _dp5_u(n1: float, R: float, k: float, sign: float, r: float, y: float,
+           k1: float, h: float) -> tuple[float, float, float]:
+    """:func:`_dp5_psi` for u = 1/psi^2 on the branch sgn psi = ``sign``.
+
+    The right-hand side is ``phase.u_rhs`` inlined, its clamp of u at zero
+    included; the returns are those of :func:`_dp5_psi`.
+    """
+    y2 = y + h * _A21 * k1
+    if not math.isfinite(y2):
+        return _STAGE_OVERFLOW
+    x = r + _C2 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    su = math.sqrt(0.0 if y2 < 0.0 else y2)
+    k2 = -2.0 * (1.0 + y2) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+
+    y3 = y + h * _A31 * k1 + h * _A32 * k2
+    if not math.isfinite(y3):
+        return _STAGE_OVERFLOW
+    x = r + _C3 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    su = math.sqrt(0.0 if y3 < 0.0 else y3)
+    k3 = -2.0 * (1.0 + y3) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+
+    y4 = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
+    if not math.isfinite(y4):
+        return _STAGE_OVERFLOW
+    x = r + _C4 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    su = math.sqrt(0.0 if y4 < 0.0 else y4)
+    k4 = -2.0 * (1.0 + y4) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+
+    y5 = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
+    if not math.isfinite(y5):
+        return _STAGE_OVERFLOW
+    x = r + _C5 * h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    su = math.sqrt(0.0 if y5 < 0.0 else y5)
+    k5 = -2.0 * (1.0 + y5) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+
+    y6 = y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5
+    if not math.isfinite(y6):
+        return _STAGE_OVERFLOW
+    x = r + h
+    w = 1.0 - x * x
+    if w <= 0.0:
+        raise _singular(x)
+    a = n1 * (x - R)
+    ssq = sign * math.sqrt(w)
+    kw = k * w
+    su = math.sqrt(0.0 if y6 < 0.0 else y6)
+    k6 = -2.0 * (1.0 + y6) * (a + ssq * su) / kw
+
+    y7 = (y + h * _A71 * k1 + h * _A72 * k2 + h * _A73 * k3 + h * _A74 * k4
+          + h * _A75 * k5 + h * _A76 * k6)
+    if not math.isfinite(y7):
+        return _STAGE_OVERFLOW
+    su = math.sqrt(0.0 if y7 < 0.0 else y7)
+    k7 = -2.0 * (1.0 + y7) * (a + ssq * su) / kw
+
+    err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
+           + _E6 * k6 + _E7 * k7)
+    return y7, err * h, k7
+
+
+def _locate_pole(n1: float, R: float, k: float, sign: float, r0: float, u0: float,
                  d0: float, r1: float, u1: float, d1: float) -> float:
     """Zero of u = 1/psi^2 on an accepted step from u0 > 0 to u1 <= 0.
 
@@ -415,7 +548,7 @@ def _locate_pole(rhs: Callable[[float, float], float], r0: float, u0: float,
     lo, hi = min(r0, r1), max(r0, r1)
     x = _bisect(lambda t: _hermite_eval(r0, r1, u0, u1, d0, d1, t), lo, hi, tol=ROOT_TOL)
     for _ in range(POLE_NEWTON_ITERS):
-        u, _err, du = _dp5_step(rhs, r0, u0, d0, x - r0)
+        u, _err, du = _dp5_u(n1, R, k, sign, r0, u0, d0, x - r0)
         if not (math.isfinite(u) and du != 0.0):
             break
         x_next = min(hi, max(lo, x - u / du))

@@ -215,6 +215,19 @@ class TestDomainStatements:
         assert "zero_crossing" in text
 
 
+class TestCrossingTol:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tol_rejected(self, tol):
+        tr = maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)
+        with pytest.raises(ValueError, match="crossing tol"):
+            classify(tr, tol=tol)
+
+    def test_zero_tol_accepted(self):
+        # the k=1 n=2 zero crossing from (0, 0) sits at r = 0 = R exactly
+        tr = maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)
+        assert classify(tr, tol=0.0).v_type == "I"
+
+
 class TestSweep:
     def test_grid_order_and_count(self):
         seeds = grid_seeds((-0.5, 0.5), (-1.0, 1.0), 3, 5)
@@ -255,6 +268,15 @@ class TestSweep:
         monkeypatch.setattr(classifier, "maximal_trace", broken)
         with pytest.raises(TypeError, match="bad call"):
             sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, workers=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_crossing_tol_raises_before_any_seed(self, monkeypatch, tol):
+        def never(p, seed, cfg):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(classifier, "maximal_trace", never)
+        with pytest.raises(ValueError, match="crossing tol"):
+            sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, tol=tol, workers=1)
 
     def test_sweep_to_dict_structure(self):
         seeds = grid_seeds((-0.3, 0.3), (-1.0, 1.0), 2, 2)

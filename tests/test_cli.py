@@ -253,6 +253,15 @@ class TestFailurePaths:
         ["verify", "--check", "grim-reaper", "--points", "-1"],
         ["verify", "--check", "identities", "--family", "k2", "--n", "3", "--l", "9"],
         ["verify", "--check", "identities", "--family", "k2", "--n", "3"],
+        ["classify"] + TRACE_ARGV[1:] + ["--crossing-tol", "nan"],
+        ["classify"] + TRACE_ARGV[1:] + ["--crossing-tol", "-1"],
+        ["domain"] + TRACE_ARGV[1:] + ["--crossing-tol", "nan"],
+        ["domain"] + TRACE_ARGV[1:] + ["--crossing-tol", "-1"],
+        SWEEP_ARGV + ["--crossing-tol", "nan"],
+        SWEEP_ARGV + ["--crossing-tol", "-1"],
+        TRACE_ARGV + ["--tol", "inf"],
+        TRACE_ARGV + ["--blowup-threshold", "inf"],
+        ["verify", "--check", "grim-reaper", "--rng-seed", "-1"],
     ])
     def test_bad_flag_is_usage_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out"

@@ -39,7 +39,8 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
-from isosoliton.integrator import MAX_SAMPLES, U_ENTER
+from isosoliton.integrator import MAX_SAMPLES, U_ENTER, _dp5_psi, _dp5_u
+from isosoliton.phase import u_rhs
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -377,3 +378,143 @@ class TestConfigValidation:
             IntegratorConfig(blowup_threshold=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+
+    @pytest.mark.parametrize("name", ["tol", "blowup_threshold", "epsilon", "max_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            IntegratorConfig(**{name: value})
+
+
+# Dormand-Prince 5(4) walked as a tableau over the reference right-hand
+# sides of phase.py: the fused kernels must reproduce it bit for bit.
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _ref_dp5_step(rhs, r, y, k1, h):
+    ks = [k1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for i in range(1, 7):
+        yi = y
+        a = _REF_A[i]
+        for j in range(i):
+            yi += h * a[j] * ks[j]
+        if not math.isfinite(yi):
+            return math.nan, math.inf, math.nan
+        ks[i] = rhs(r + _REF_C[i] * h, yi)
+    err = 0.0
+    for j in range(7):
+        err += _REF_E[j] * ks[j]
+    return yi, err * h, ks[6]
+
+
+def _bits(values):
+    """Floats as hex, which tells NaN, infinities and the sign of zero apart."""
+    return [float(v).hex() for v in values]
+
+
+KERNEL_SETS = [P12, P23, make_params(2, 10, 8, 1), make_params(4, 8, 4, 3),
+               make_params(1, 11, 10, 10)]
+_params = st.sampled_from(KERNEL_SETS)
+_r = st.floats(min_value=-0.999, max_value=0.999)
+_h = st.floats(min_value=-0.01, max_value=0.01).filter(lambda h: h != 0.0)
+_sign = st.sampled_from([-1.0, 1.0])
+
+
+def _psi_pair(p, r, y, h):
+    """(kernel, reference) outcome of one psi step: the values, or the error."""
+    args = (float(p.n - 1), p.R, float(p.k))
+    out = []
+    for step in (lambda: _dp5_psi(*args, r, y, psi_rhs(p, r, y), h),
+                 lambda: _ref_dp5_step(lambda x, v: psi_rhs(p, x, v), r, y,
+                                       psi_rhs(p, r, y), h)):
+        try:
+            out.append(_bits(step()))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _u_pair(p, sign, r, u, h):
+    args = (float(p.n - 1), p.R, float(p.k), sign)
+    out = []
+    for step in (lambda: _dp5_u(*args, r, u, u_rhs(p, r, u, sign), h),
+                 lambda: _ref_dp5_step(lambda x, v: u_rhs(p, x, v, sign), r, u,
+                                       u_rhs(p, r, u, sign), h)):
+        try:
+            out.append(_bits(step()))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestFusedKernels:
+    """``_dp5_psi``/``_dp5_u`` inline the right-hand sides of phase.py into
+    the Dormand-Prince stages; every output must equal the tableau walk."""
+
+    @given(_params, _r, st.floats(min_value=-1e3, max_value=1e3), _h)
+    @settings(max_examples=400, deadline=None)
+    def test_psi_kernel_is_the_tableau_walk(self, p, r, psi, h):
+        fused, ref = _psi_pair(p, r, psi, h)
+        assert fused == ref
+
+    @given(_params, _sign, _r, st.floats(min_value=-1e-4, max_value=1e-4), _h)
+    @settings(max_examples=400, deadline=None)
+    def test_u_kernel_is_the_tableau_walk(self, p, sign, r, u, h):
+        fused, ref = _u_pair(p, sign, r, u, h)
+        assert fused == ref
+
+    @pytest.mark.parametrize("psi", [1e200, -1e200, 1e155])
+    def test_stage_overflow_exits_with_nan(self, psi):
+        fused, ref = _psi_pair(P23, 0.5, psi, 1e-3)
+        assert fused == ref
+        assert fused == _bits((math.nan, math.inf, math.nan))
+
+    def test_u_stage_overflow_exits_with_nan(self):
+        fused, ref = _u_pair(P23, 1.0, 0.5, 1e300, -1e-3)
+        assert fused == ref
+        assert fused == _bits((math.nan, math.inf, math.nan))
+
+    @pytest.mark.parametrize("r, h", [(0.999, 0.01), (-0.999, -0.01), (0.995, 0.005)])
+    def test_stage_past_focal_level_raises(self, r, h):
+        for fused, ref in (_psi_pair(P23, r, 1.0, h), _u_pair(P23, -1.0, r, 1e-5, h)):
+            assert fused == ref
+            assert fused.startswith("slope equation singular at |r| >= 1")
+
+    @pytest.mark.parametrize("p, seed, want", [
+        (P23, K2N3_SUBGRID[7], (
+            "TerminationEvent(kind='BlowUpMinus', location=-0.9699070804713507, "
+            "endpoint_vprime=None)",
+            "TerminationEvent(kind='BlowUpPlus', location=0.8263371695030257, "
+            "endpoint_vprime=None)",
+            "StepStats(accepted=663, rejected=11, min_step=1.0337394184435648e-07, "
+            "max_step=0.01)")),
+        (make_params(1, 11, 10, 10), endpoint_seed(make_params(1, 11, 10, 10), -1, 1e-6), (
+            "TerminationEvent(kind='BlowUpMinus', location=-0.9999999895138934, "
+            "endpoint_vprime=None)",
+            "TerminationEvent(kind='BlowUpPlus', location=0.31844879677130006, "
+            "endpoint_vprime=None)",
+            "StepStats(accepted=907, rejected=38, min_step=1.0442771545739738e-14, "
+            "max_step=0.01)")),
+        (make_params(4, 8, 4, 3), PhasePoint(-0.35456322457985834, -7.011799937538605), (
+            "TerminationEvent(kind='BlowUpMinus', location=-0.35919523087488786, "
+            "endpoint_vprime=None)",
+            "TerminationEvent(kind='BlowUpPlus', location=0.9999999999799936, "
+            "endpoint_vprime=None)",
+            "StepStats(accepted=987, rejected=419, min_step=1.0071824474287162e-14, "
+            "max_step=0.01)")),
+    ])
+    def test_pinned_runs(self, p, seed, want):
+        """Events and step counts of a k2n3 grid seed, the k=1 n=11 endpoint
+        seed and the k=4 n=8 collapse-exit seed, as the tableau walk gave."""
+        tr = maximal_trace(p, seed, CFG)
+        assert (repr(tr.left_event), repr(tr.right_event), repr(tr.step_stats)) == want
