@@ -749,9 +749,10 @@ def euler_walk(p: SolitonParams, seed: PhasePoint, r_stop: float, h: float) -> t
     sqrt = math.sqrt
     step = direction * h
     for _ in range(n_steps):
+        # phase.psi_rhs, inlined with the same operations in the same order
         one_minus_r2 = 1.0 - r * r
         drift = (n - 1) * (r - R) * y + sqrt(one_minus_r2)
-        y += step * (y * y + 1.0) * drift / (k * one_minus_r2)
+        y += step * ((y * y + 1.0) * drift / (k * one_minus_r2))
         r += step
         rs.append(r)
         ys.append(y)

@@ -79,22 +79,28 @@ class IsoparametricFn:
         return (self.n - self.l, self.l - 1)
 
 
-def iso_poly(f: IsoparametricFn, x: np.ndarray) -> float:
-    """Ambient polynomial h at a point of R^{n+1} (any radius); on the unit
-    sphere this is the isoparametric level r."""
+def iso_poly(f: IsoparametricFn, x: np.ndarray) -> float | np.ndarray:
+    """Ambient polynomial h at points of R^{n+1} (any radius); on the unit
+    sphere this is the isoparametric level r.
+
+    Coordinates run along axis 0: a point is a (d,) array and a batch of M
+    points a (d, M) array, for which the M levels come back as an (M,) array.
+    """
+    x = np.asarray(x, dtype=float)
     if f.kind == ISO_K1:
-        return float(x[-1])
-    s = float(np.dot(x[: f.l], x[: f.l]))
-    return s - float(np.dot(x[f.l :], x[f.l :]))
+        return x[-1]
+    head, tail = x[: f.l], x[f.l :]
+    return np.sum(head * head, axis=0) - np.sum(tail * tail, axis=0)
 
 
 def iso_poly_grad(f: IsoparametricFn, x: np.ndarray) -> np.ndarray:
-    """Exact ambient gradient of h."""
+    """Exact ambient gradient of h, with the layout of x (coordinates on
+    axis 0)."""
     if f.kind == ISO_K1:
         g = np.zeros_like(x)
         g[-1] = 1.0
         return g
-    g = 2.0 * x.copy()
+    g = 2.0 * x
     g[f.l :] *= -1.0
     return g
 
@@ -125,15 +131,18 @@ class GraphSample:
     """A graph u over sample points, differentiated by finite differences.
 
     ambient is "euclidean" (points in R^n) or "sphere" (unit points in
-    R^{n+1}, checked to 1e-12).  u is a callable on single points; on the
-    sphere it is only ever evaluated at unit vectors (the FD wrapper
+    R^{n+1}, checked to 1e-12); points is an (N, d) array, one point a row.
+    u is evaluated on whole batches: it takes a (d, M) array with the
+    coordinates on axis 0 and returns the M values as an (M,) array, or one
+    scalar when u is constant.  On a single (d,) point the same code gives a
+    scalar.  On the sphere u only ever sees unit vectors (the stencil
     renormalizes its probes).  Callers must keep the points at least a few
     fd_step away from any singularity of u.
     """
 
     ambient: str
     points: np.ndarray
-    u: Callable[[np.ndarray], float]
+    u: Callable[[np.ndarray], float | np.ndarray]
     fd_step: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -171,62 +180,48 @@ class ResidualReport:
         return float(np.mean(np.abs(self.values - target)))
 
 
-def _fd_gradient(u: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    d = len(x)
-    g = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        g[i] = (u(x + e) - u(x - e)) / (2.0 * h)
-    return g
+def _probe(
+    u: Callable[[np.ndarray], float | np.ndarray], X: np.ndarray, h: float, sphere: bool
+) -> Callable[..., np.ndarray]:
+    """Evaluator of u on shifted copies of the (d, N) point array X.
+
+    ``at((i, s), (j, t), ...)`` is u at X + s h e_i + t h e_j + ..., as an
+    (N,) array, from one call of u on the whole batch.  With ``sphere`` the
+    probes are first scaled back to the unit sphere, which evaluates the
+    degree-0 extension u(y / |y|) of the module docstring.
+    """
+    N = X.shape[1]
+
+    def at(*steps: tuple[int, float]) -> np.ndarray:
+        Y = X.copy()
+        for i, s in steps:
+            Y[i] += s * h
+        if sphere:
+            Y /= np.linalg.norm(Y, axis=0)
+        return np.broadcast_to(u(Y), (N,))
+
+    return at
 
 
-def _fd_hessian(u: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    d = len(x)
-    H = np.empty((d, d))
-    u0 = u(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        H[i, i] = (u(x + ei) - 2.0 * u0 + u(x - ei)) / (h * h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
-            ) / (4.0 * h * h)
-    return H
-
-
-def _fd_gradient4(u: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    d = len(x)
-    g = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        g[i] = (-u(x + 2 * e) + 8 * u(x + e) - 8 * u(x - e) + u(x - 2 * e)) / (12.0 * h)
-    return g
-
-
-def _fd_laplacian4(u: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> float:
-    d = len(x)
-    u0 = u(x)
-    total = 0.0
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        total += (
-            -u(x + 2 * e) + 16 * u(x + e) - 30.0 * u0 + 16 * u(x - e) - u(x - 2 * e)
-        ) / (12.0 * h * h)
-    return total
-
-
-def _graph_operator(u: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> float:
+def _graph_operator(at: Callable[..., np.ndarray], d: int, h: float) -> np.ndarray:
     """Mean-curvature graph operator sqrt(1+|Du|^2) div(Du/sqrt(1+|Du|^2)),
-    expanded as Lap u - (Du . Hess u . Du) / (1 + |Du|^2)."""
-    g = _fd_gradient(u, x, h)
-    H = _fd_hessian(u, x, h)
-    return float(np.trace(H) - g @ H @ g / (1.0 + g @ g))
+    expanded as Lap u - (Du . Hess u . Du) / (1 + |Du|^2), at every point of
+    the probe evaluator ``at`` by second-order central differences."""
+    u0 = at()
+    up = [at((i, 1.0)) for i in range(d)]
+    um = [at((i, -1.0)) for i in range(d)]
+    g = np.array([(up[i] - um[i]) / (2.0 * h) for i in range(d)])
+    H = np.empty((d, d, len(u0)))
+    for i in range(d):
+        H[i, i] = (up[i] - 2.0 * u0 + um[i]) / (h * h)
+        for j in range(i + 1, d):
+            H[i, j] = H[j, i] = (
+                at((i, 1.0), (j, 1.0)) - at((i, 1.0), (j, -1.0))
+                - at((i, -1.0), (j, 1.0)) + at((i, -1.0), (j, -1.0))
+            ) / (4.0 * h * h)
+    lap = np.trace(H)
+    gHg = np.einsum("in,ijn,jn->n", g, H, g)
+    return lap - gHg / (1.0 + np.sum(g * g, axis=0))
 
 
 def soliton_residual(sample: GraphSample) -> ResidualReport:
@@ -236,12 +231,9 @@ def soliton_residual(sample: GraphSample) -> ResidualReport:
     extension (see module docstring), so probes never leave the callable's
     domain and no projection or correction terms appear.
     """
-    if sample.ambient == AMBIENT_SPHERE:
-        base = sample.u
-        u = lambda y: base(y / np.linalg.norm(y))
-    else:
-        u = sample.u
-    vals = np.array([_graph_operator(u, x, sample.fd_step) for x in sample.points])
+    X = np.ascontiguousarray(sample.points.T)
+    at = _probe(sample.u, X, sample.fd_step, sample.ambient == AMBIENT_SPHERE)
+    vals = _graph_operator(at, X.shape[0], sample.fd_step)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(
             "non-finite residuals: points too close to a singularity of u, "
@@ -322,70 +314,97 @@ def isoparametric_identities(
     k = f.k
     m1, m2 = f.multiplicities
     half_gap = 0.5 * (m2 - m1)
+    h = fd_step
 
     pts = rng.normal(size=(n_points, d))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    X = np.ascontiguousarray(pts.T)
 
-    ext = lambda y: iso_poly(f, y / np.linalg.norm(y))
-    grad_err = 0.0
-    lap_err = 0.0
-    for x in pts:
-        t = iso_poly(f, x)
-        g = _fd_gradient4(ext, x, fd_step)
-        grad_err = max(grad_err, abs(float(g @ g) - k * k * (1.0 - t * t)))
-        lap = _fd_laplacian4(ext, x, fd_step)
-        lap_ref = half_gap * k * k - k * (f.n + k - 1) * t
-        lap_err = max(lap_err, abs(lap - lap_ref))
+    at = _probe(lambda Y: iso_poly(f, Y), X, h, sphere=True)
+    t = iso_poly(f, X)
+    u0 = at()
+    grad_sq = np.zeros(n_points)
+    lap = np.zeros(n_points)
+    for i in range(d):
+        up2, up1, um1, um2 = at((i, 2.0)), at((i, 1.0)), at((i, -1.0)), at((i, -2.0))
+        gi = (-up2 + 8 * up1 - 8 * um1 + um2) / (12.0 * h)
+        grad_sq += gi * gi
+        lap += (-up2 + 16 * up1 - 30.0 * u0 + 16 * um1 - um2) / (12.0 * h * h)
+    lap_ref = half_gap * k * k - k * (f.n + k - 1) * t
 
     radii = rng.uniform(0.5, 2.0, size=n_points)
-    amb = pts * radii[:, None]
-    agrad_err = 0.0
-    alap_err = 0.0
-    for x in amb:
-        rho2 = float(x @ x)
-        g = iso_poly_grad(f, x)
-        agrad_err = max(agrad_err, abs(float(g @ g) - k * k * rho2 ** (k - 1)))
-        alap_err = max(
-            alap_err,
-            abs(iso_poly_lap(f, x) - half_gap * k * k * rho2 ** ((k - 2) / 2.0)),
-        )
+    amb = X * radii
+    rho2 = np.sum(amb * amb, axis=0)
+    g = iso_poly_grad(f, amb)
+    alap_ref = half_gap * k * k * rho2 ** ((k - 2) / 2.0)
+
+    def worst(err: np.ndarray) -> float:
+        return float(np.max(np.abs(err), initial=0.0))
+
     return IdentityReport(
-        grad_sphere_max_err=grad_err,
-        lap_sphere_max_err=lap_err,
-        grad_ambient_max_err=agrad_err,
-        lap_ambient_max_err=alap_err,
+        grad_sphere_max_err=worst(grad_sq - k * k * (1.0 - t * t)),
+        lap_sphere_max_err=worst(lap - lap_ref),
+        grad_ambient_max_err=worst(np.sum(g * g, axis=0) - k * k * rho2 ** (k - 1)),
+        lap_ambient_max_err=worst(iso_poly_lap(f, amb) - alap_ref),
         n_points=n_points,
     )
 
 
-def grim_reaper(x: np.ndarray) -> float:
-    """The planar soliton graph u = -log cos(x_d) on |x_d| < pi/2."""
-    return -math.log(math.cos(float(x[-1])))
+def grim_reaper(x: np.ndarray) -> float | np.ndarray:
+    """The planar soliton graph u = -log cos(x_d) on |x_d| < pi/2, at a (d,)
+    point or at each column of a (d, M) batch."""
+    return -np.log(np.cos(x[-1]))
 
 
-def graph_from_trace(p: SolitonParams, trace: Trace, f: IsoparametricFn) -> Callable[[np.ndarray], float]:
+def _quintic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray) -> BPoly:
+    """The C^2 piecewise quintic through (y, y', y'') at every knot of x.
+
+    The same Bernstein coefficients as ``BPoly.from_derivatives(x,
+    column_stack([y, dy, d2y]))``, operation for operation, but computed for
+    all intervals at once instead of in a Python loop over them.
+    """
+    dx = np.diff(x)
+    dx2 = dx**2
+    c0 = y[:-1]
+    c1 = dy[:-1] / 5.0 * dx + c0
+    c2 = d2y[:-1] / 20.0 * dx2 - c0 + 2.0 * c1
+    c5 = y[1:]
+    c4 = -(dy[1:] / 5.0) * dx + c5
+    c3 = d2y[1:] / 20.0 * dx2 + 2.0 * c4 - c5
+    return BPoly(np.array([c0, c1, c2, c3, c4, c5]), x)
+
+
+def graph_from_trace(
+    p: SolitonParams, trace: Trace, f: IsoparametricFn
+) -> Callable[[np.ndarray], float | np.ndarray]:
     """Graph function u = V o r on the sphere from an integrated profile.
 
     V is interpolated as a C^2 piecewise quintic matching (v, V', V'') at
     every sample: the derivative columns are exact (V' definitionally from
     psi, V'' from the slope derivative), so the finite-difference probes in
     :func:`soliton_residual` see no curvature kinks at sample boundaries.
-    f must have the parameter set's k.
+    The returned u takes points with coordinates on axis 0, like
+    :func:`iso_poly`, and raises ValueError if any point's level is outside
+    the integrated span (or NaN).  f must have the parameter set's k.
     """
     if f.k != p.k:
         raise ValueError(f"family has k={f.k} but parameters have k={p.k}")
     sq = np.sqrt(1.0 - trace.r**2)
     dvprime = trace.dpsi / (p.k * sq) + trace.psi * trace.r / (p.k * sq**3)
-    spline = BPoly.from_derivatives(
-        trace.r, np.column_stack([trace.v, trace.vprime, dvprime])
-    )
+    spline = _quintic_hermite(trace.r, trace.v, trace.vprime, dvprime)
     lo, hi = float(trace.r[0]), float(trace.r[-1])
 
-    def u(x: np.ndarray) -> float:
+    def u(x: np.ndarray) -> float | np.ndarray:
         t = iso_poly(f, x)
-        if not lo <= t <= hi:
-            raise ValueError(f"level r={t} outside integrated span [{lo}, {hi}]")
-        return float(spline(t))
+        outside = ~((lo <= t) & (t <= hi))
+        if np.any(outside):
+            off = np.atleast_1d(t)[np.atleast_1d(outside)]
+            worst = off[np.argmax(np.maximum(lo - off, off - hi))]
+            raise ValueError(
+                f"level r={worst} outside integrated span [{lo}, {hi}] "
+                f"({off.size} of {np.size(t)} points)"
+            )
+        return spline(t)[()]
 
     return u
 
@@ -397,7 +416,8 @@ def sphere_points_in_band(
     n_points: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """Random unit vectors whose isoparametric level lies in [t_lo, t_hi].
+    """Random unit vectors whose isoparametric level lies in [t_lo, t_hi],
+    as the rows of an (n_points, n+1) array.
 
     Rejection sampling from the uniform sphere measure; raises if the band is
     so thin that acceptance stalls.
@@ -410,7 +430,7 @@ def sphere_points_in_band(
     for _ in range(1000):
         batch = rng.normal(size=(max(4 * n_points, 256), f.n + 1))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        levels = np.array([iso_poly(f, x) for x in batch])
+        levels = iso_poly(f, batch.T)
         good = batch[(levels >= t_lo) & (levels <= t_hi)]
         take = min(len(good), n_points - have)
         out[have : have + take] = good[:take]

@@ -473,6 +473,15 @@ class TestFusedKernels:
         fused, ref = _u_pair(p, sign, r, u, h)
         assert fused == ref
 
+    @given(_params, _r, st.floats(min_value=-1e3, max_value=1e3),
+           st.floats(min_value=1e-6, max_value=0.01), _sign)
+    @settings(max_examples=400, deadline=None)
+    def test_euler_step_is_psi_rhs(self, p, r, psi, h, sign):
+        """``euler_walk`` inlines ``psi_rhs``: one step is y + step * psi_rhs."""
+        step = sign * h
+        rs, ys = euler_walk(p, PhasePoint(r, psi), r + 1.5 * step, h)
+        assert _bits((rs[1], ys[1])) == _bits((r + step, psi + step * psi_rhs(p, r, psi)))
+
     @pytest.mark.parametrize("psi", [1e200, -1e200, 1e155])
     def test_stage_overflow_exits_with_nan(self, psi):
         fused, ref = _psi_pair(P23, 0.5, psi, 1e-3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import BPoly
 
 from isosoliton import (
     AMBIENT_EUCLIDEAN,
@@ -32,6 +33,81 @@ from isosoliton import (
     theta_of_level,
     vprime_rhs,
 )
+from isosoliton.verify import _quintic_hermite
+
+K1N2 = make_params(1, 2, 1, 1)
+K2N3 = make_params(2, 3, 1, 1)
+SPHERE_CFG = IntegratorConfig(tol=1e-12, max_step=2e-3)
+
+
+def _criterion8_family(p, f):
+    """Criterion 8's graph: the profile regular at r = -1, and its band's top."""
+    tr = maximal_trace(p, endpoint_seed(p, -1, 1e-6), SPHERE_CFG)
+    return tr, tr.right_event.location - 0.1
+
+
+# The per-point finite differences that soliton_residual used before it was
+# batched, kept as the oracle for the stencil.
+
+def _scalar_fd_gradient(u, x, h):
+    d = len(x)
+    g = np.empty(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        g[i] = (u(x + e) - u(x - e)) / (2.0 * h)
+    return g
+
+
+def _scalar_fd_hessian(u, x, h):
+    d = len(x)
+    H = np.empty((d, d))
+    u0 = u(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        H[i, i] = (u(x + ei) - 2.0 * u0 + u(x - ei)) / (h * h)
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            H[i, j] = H[j, i] = (
+                u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
+            ) / (4.0 * h * h)
+    return H
+
+
+def _scalar_graph_operator(u, x, h):
+    g = _scalar_fd_gradient(u, x, h)
+    H = _scalar_fd_hessian(u, x, h)
+    return float(np.trace(H) - g @ H @ g / (1.0 + g @ g))
+
+
+def _scalar_residual(sample):
+    u = sample.u
+    if sample.ambient == AMBIENT_SPHERE:
+        u = lambda y: sample.u(y / np.linalg.norm(y))
+    return np.array([_scalar_graph_operator(u, x, sample.fd_step) for x in sample.points])
+
+
+def _scalar_band(f, t_lo, t_hi, n_points, seed):
+    """The band sampler's former per-row level selection."""
+    def level(x):
+        if f.kind == ISO_K1:
+            return float(x[-1])
+        return float(np.dot(x[: f.l], x[: f.l])) - float(np.dot(x[f.l :], x[f.l :]))
+
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_points, f.n + 1))
+    have = 0
+    while have < n_points:
+        batch = rng.normal(size=(max(4 * n_points, 256), f.n + 1))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        levels = np.array([level(x) for x in batch])
+        good = batch[(levels >= t_lo) & (levels <= t_hi)]
+        take = min(len(good), n_points - have)
+        out[have : have + take] = good[:take]
+        have += take
+    return out
 
 
 class TestFamilies:
@@ -187,3 +263,102 @@ class TestEndToEnd:
         north = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             u(north)
+
+
+def _grim_reaper_sample():
+    pts = np.random.default_rng(10).uniform(-1.2, 1.2, size=(200, 2))
+    return GraphSample(AMBIENT_EUCLIDEAN, pts, grim_reaper)
+
+
+def _trace_sample(p, f):
+    tr, band_hi = _criterion8_family(p, f)
+    pts = sphere_points_in_band(f, -0.95, band_hi, 200, seed=11)
+    return GraphSample(AMBIENT_SPHERE, pts, graph_from_trace(p, tr, f))
+
+
+def _smooth_sphere_sample(d):
+    rng = np.random.default_rng(d)
+    a, b, c = rng.normal(size=(3, d))
+    a, b, c = (w / np.linalg.norm(w) for w in (a, b, c))
+    pts = rng.normal(size=(100, d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    u = lambda x: np.sin(a @ x) + (b @ x) ** 2 * np.cos(c @ x)
+    return GraphSample(AMBIENT_SPHERE, pts, u)
+
+
+class TestBatchedStencil:
+    """The batched residual, graph spline and band sampler against the
+    per-point code they replaced."""
+
+    @pytest.mark.parametrize("make", [
+        _grim_reaper_sample,
+        lambda: _trace_sample(K1N2, IsoparametricFn(ISO_K1, 2)),
+        lambda: _trace_sample(K2N3, IsoparametricFn(ISO_K2, 3, l=2)),
+        lambda: _smooth_sphere_sample(4),
+        lambda: _smooth_sphere_sample(5),
+    ], ids=["grim-reaper", "K1n2", "K2n3", "S3", "S4"])
+    def test_residual_matches_scalar_oracle(self, make):
+        sample = make()
+        got = soliton_residual(sample).values
+        want = _scalar_residual(sample)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("p, f", [
+        (K1N2, IsoparametricFn(ISO_K1, 2)),
+        (K2N3, IsoparametricFn(ISO_K2, 3, l=2)),
+    ], ids=["K1n2", "K2n3"])
+    def test_spline_is_from_derivatives_bitwise(self, p, f):
+        tr, _ = _criterion8_family(p, f)
+        sq = np.sqrt(1.0 - tr.r**2)
+        dvprime = tr.dpsi / (p.k * sq) + tr.psi * tr.r / (p.k * sq**3)
+        ref = BPoly.from_derivatives(tr.r, np.column_stack([tr.v, tr.vprime, dvprime]))
+        got = _quintic_hermite(tr.r, tr.v, tr.vprime, dvprime)
+        assert got.c.shape == ref.c.shape
+        assert got.c.tobytes() == ref.c.tobytes()
+        assert got.x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("f, t_hi", [
+        (IsoparametricFn(ISO_K1, 2), 0.6),
+        (IsoparametricFn(ISO_K2, 3, l=2), 0.3),
+    ], ids=["K1n2", "K2n3"])
+    def test_band_sampler_matches_row_selection(self, f, t_hi):
+        for seed in range(51):
+            np.testing.assert_array_equal(
+                sphere_points_in_band(f, -0.95, t_hi, 100, seed=seed),
+                _scalar_band(f, -0.95, t_hi, 100, seed))
+
+    def test_single_point_and_batch_agree(self):
+        tr, band_hi = _criterion8_family(K2N3, IsoparametricFn(ISO_K2, 3, l=2))
+        u = graph_from_trace(K2N3, tr, IsoparametricFn(ISO_K2, 3, l=2))
+        pts = sphere_points_in_band(IsoparametricFn(ISO_K2, 3, l=2), -0.95, band_hi, 20, seed=3)
+        batch = u(pts.T)
+        assert batch.shape == (20,)
+        assert [float(u(x)) for x in pts] == batch.tolist()
+
+
+class TestGraphSpan:
+    """graph_from_trace's u rejects a batch with any level outside the span."""
+
+    F = IsoparametricFn(ISO_K1, 2)
+
+    def _u_and_span(self):
+        tr = maximal_trace(K1N2, PhasePoint(0.0, 0.0), IntegratorConfig())
+        return graph_from_trace(K1N2, tr, self.F), float(tr.r[0]), float(tr.r[-1])
+
+    def test_batch_with_one_point_outside(self):
+        u, lo, hi = self._u_and_span()
+        pts = sphere_points_in_band(self.F, lo + 0.01, hi - 0.01, 30, seed=4)
+        assert u(pts.T).shape == (30,)
+        pts[17] = [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match=r"level r=1\.0 outside .*\(1 of 30 points\)"):
+            u(pts.T)
+
+    def test_nan_point_rejected(self):
+        u, lo, hi = self._u_and_span()
+        pts = sphere_points_in_band(self.F, lo + 0.01, hi - 0.01, 30, seed=5)
+        pts[4] = np.nan
+        with pytest.raises(ValueError, match=r"level r=nan outside"):
+            u(pts.T)
+        with pytest.raises(ValueError, match=r"level r=nan outside"):
+            u(pts[4])
