@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .catalog import SolitonParams
 from .integrator import Trace
-from .phase import eta, zeta
+from .phase import _eta_samples, _zeta_samples
 
 OVERLAY_CHOICES = ("eta", "zeta", "R-line")
 
@@ -39,8 +39,9 @@ class PlotConfig:
     """Knobs the command line exposes for figure emission.
 
     ymax of None picks the vertical range from the data (robust quantile
-    for the slope-like curves, plain min/max for the height).  overlays is
-    a subset of OVERLAY_CHOICES.
+    for the slope-like curves, plain min/max for the height); a given ymax
+    must be positive with a finite span 2*ymax.  overlays is a subset of
+    OVERLAY_CHOICES.
     """
 
     ymax: float | None = None
@@ -50,8 +51,8 @@ class PlotConfig:
         bad = [o for o in self.overlays if o not in OVERLAY_CHOICES]
         if bad:
             raise ValueError(f"unknown overlays {bad}; choose from {OVERLAY_CHOICES}")
-        if self.ymax is not None and not (math.isfinite(self.ymax) and self.ymax > 0.0):
-            raise ValueError(f"ymax must be finite and positive, got {self.ymax}")
+        if self.ymax is not None and not (self.ymax > 0.0 and math.isfinite(2.0 * self.ymax)):
+            raise ValueError(f"ymax must be positive with 2*ymax finite, got {self.ymax}")
 
 
 def _px(v: float) -> str:
@@ -84,40 +85,52 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _path(points: list[tuple[float, float] | None], xmap, ymap) -> str:
-    """One path datum; None entries break the polyline into segments."""
-    parts: list[str] = []
-    pen_up = True
-    for pt in points:
-        if pt is None:
-            pen_up = True
-            continue
-        cmd = "M" if pen_up else "L"
-        parts.append(f"{cmd}{_px(xmap(pt[0]))} {_px(ymap(pt[1]))}")
-        pen_up = False
-    return "".join(parts)
+def _path(x: np.ndarray, y: np.ndarray, cap: float, xmap, ymap,
+          breaks: np.ndarray | None = None) -> str:
+    """One path datum through the samples (x[i], y[i]).
+
+    Non-finite samples and samples with |y| > cap are dropped.  The pen
+    lifts after a dropped sample and before each sample i with breaks[i]
+    set.
+    """
+    keep = np.isfinite(x) & np.isfinite(y) & (np.abs(y) <= cap)
+    pen_up = np.ones_like(keep)
+    pen_up[1:] = ~keep[:-1]
+    if breaks is not None:
+        pen_up |= breaks
+    cmds = np.where(pen_up[keep], "M", "L").tolist()
+    xs = xmap(x[keep]).tolist()
+    ys = ymap(y[keep]).tolist()
+    # The _px rounding, inlined: this loop formats every sample.
+    return "".join(f"{c}{u:.2f} {v:.2f}" for c, u, v in zip(cmds, xs, ys))
 
 
 def render_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    curves: list[tuple[str, str, list[tuple[float, float] | None]]],
+    curves: list[tuple[str, str, np.ndarray, np.ndarray, np.ndarray | None]],
     vlines: list[tuple[str, float]],
     annotations: list[str],
     xlim: tuple[float, float],
     ylim: tuple[float, float],
 ) -> str:
-    """Assemble one figure; curves are (label, color, points with gaps)."""
+    """Assemble one figure; curves are (label, color, x, y, breaks).
+
+    Curve samples with |y| above ten times max |ylim| are dropped; the ones
+    a little outside ylim are kept, so a curve visibly runs off the clipped
+    box instead of stopping short.
+    """
     x0, x1 = xlim
     y0, y1 = ylim
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
+    cap = 10.0 * max(abs(y0), abs(y1))
 
-    def xmap(x: float) -> float:
+    def xmap(x):
         return _ML + (x - x0) / (x1 - x0) * pw
 
-    def ymap(y: float) -> float:
+    def ymap(y):
         return _MT + (y1 - y) / (y1 - y0) * ph
 
     out: list[str] = []
@@ -190,9 +203,9 @@ def render_plot(
             f'<text x="{_px(xmap(x) + 4)}" y="{_px(_MT + 12)}" {_FONT} font-size="10" '
             f'fill="{_RLINE}">{_escape(label)}</text>'
         )
-    for label, color, points in curves:
+    for label, color, x, y, breaks in curves:
         dash = "" if label == "trace" else ' stroke-dasharray="5 3"'
-        d = _path(points, xmap, ymap)
+        d = _path(x, y, cap, xmap, ymap, breaks)
         if d:
             out.append(
                 f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
@@ -200,7 +213,7 @@ def render_plot(
     out.append("</g>")
 
     # legend, bottom left inside the box
-    legend = [(label, color) for label, color, _ in curves if label != "trace"]
+    legend = [(label, color) for label, color, *_ in curves if label != "trace"]
     for i, (label, color) in enumerate(legend):
         y = _MT + ph - 10 - 14 * (len(legend) - 1 - i)
         out.append(
@@ -217,50 +230,14 @@ def render_plot(
     return "\n".join(out) + "\n"
 
 
-def _finite_points(x: np.ndarray, y: np.ndarray, ylim: tuple[float, float]) -> list[tuple[float, float] | None]:
-    """Sample pairs with gaps at non-finite or wildly out-of-range values.
-
-    Values a little outside ylim are kept so the curve visibly runs off the
-    clipped box instead of stopping short.
-    """
-    cap = 10.0 * max(abs(ylim[0]), abs(ylim[1]))
-    pts: list[tuple[float, float] | None] = []
-    for xi, yi in zip(x.tolist(), y.tolist()):
-        if not (math.isfinite(xi) and math.isfinite(yi)) or abs(yi) > cap:
-            if pts and pts[-1] is not None:
-                pts.append(None)
-            continue
-        pts.append((xi, yi))
-    return pts
-
-
-def _guide_points(
-    fn, R: float, xlim: tuple[float, float], ylim: tuple[float, float]
-) -> list[tuple[float, float] | None]:
-    """Sample a guide curve, breaking at the r = R pole and the domain ends."""
+def _guide(samples: Callable[[SolitonParams, np.ndarray], np.ndarray], p: SolitonParams,
+           xlim: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A guide curve on 513 levels inside xlim and (-1, 1), as (r, values,
+    breaks); the pen breaks where consecutive levels straddle the r = R pole."""
     lo = max(xlim[0], -1.0 + 1e-9)
     hi = min(xlim[1], 1.0 - 1e-9)
-    if not lo < hi:
-        return []
-    rs = np.linspace(lo, hi, 513)
-    pts: list[tuple[float, float] | None] = []
-    prev_side = None
-    for r in rs.tolist():
-        side = math.copysign(1.0, r - R)
-        if prev_side is not None and side != prev_side and pts and pts[-1] is not None:
-            pts.append(None)
-        prev_side = side
-        v = fn(r, side=side)
-        if not math.isfinite(v):
-            if pts and pts[-1] is not None:
-                pts.append(None)
-            continue
-        pts.append((r, v))
-    return _finite_points(
-        np.array([p[0] if p else math.nan for p in pts]),
-        np.array([p[1] if p else math.nan for p in pts]),
-        ylim,
-    )
+    r = np.linspace(lo, hi, 513) if lo < hi else np.empty(0)
+    return r, samples(p, r), np.diff(r < p.R, prepend=False)
 
 
 def _slope_ylim(values: np.ndarray, ymax: float | None) -> tuple[float, float]:
@@ -304,25 +281,25 @@ def trace_figures(
     figs: dict[str, str] = {}
 
     ylim = _slope_ylim(trace.psi, cfg.ymax)
-    curves = [("trace", _CURVE, _finite_points(trace.r, trace.psi, ylim))]
+    curves = [("trace", _CURVE, trace.r, trace.psi, None)]
     if "eta" in cfg.overlays:
-        curves.append(("eta guide", _ETA, _guide_points(partial(eta, p), p.R, xlim, ylim)))
+        curves.append(("eta guide", _ETA, *_guide(_eta_samples, p, xlim)))
     figs["psi"] = render_plot(
         "psi(r)", "r", "psi", curves, vlines,
         [params_note, f"type {shape_labels['psi']}"], xlim, ylim,
     )
 
     ylim = _slope_ylim(trace.vprime, cfg.ymax)
-    curves = [("trace", _CURVE, _finite_points(trace.r, trace.vprime, ylim))]
+    curves = [("trace", _CURVE, trace.r, trace.vprime, None)]
     if "zeta" in cfg.overlays:
-        curves.append(("zeta guide", _ZETA, _guide_points(partial(zeta, p), p.R, xlim, ylim)))
+        curves.append(("zeta guide", _ZETA, *_guide(_zeta_samples, p, xlim)))
     figs["vprime"] = render_plot(
         "V'(r)", "r", "V'", curves, vlines,
         [params_note, f"type {shape_labels['vprime']}"], xlim, ylim,
     )
 
     ylim = _height_ylim(trace.v)
-    curves = [("trace", _CURVE, _finite_points(trace.r, trace.v, ylim))]
+    curves = [("trace", _CURVE, trace.r, trace.v, None)]
     figs["v"] = render_plot(
         "V(r)", "r", "V", curves, vlines,
         [params_note, f"type {shape_labels['v']}"], xlim, ylim,

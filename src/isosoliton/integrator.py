@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .catalog import SolitonParams, params_to_dict
-from .phase import PhasePoint, _bisect, eta, psi_rhs, u_rhs
+from .phase import PhasePoint, _bisect, _eta_samples, eta, psi_rhs, u_rhs
 
 REGULAR_ENDPOINT = "RegularEndpoint"
 BLOWUP_PLUS = "BlowUpPlus"
@@ -64,10 +64,6 @@ CROSSING_ETA = "eta"
 # hovers near one level from flapping between variables.
 U_ENTER = 100.0
 U_LEAVE = 25.0
-
-# Distance from R inside which eta is taken as its one-sided limit: beyond
-# it |eta| <= 1/|r - R| stays finite.
-ETA_POLE_GAP = 1e-300
 
 # Bracket width at which crossing and pole bisection stop: about ten ulps
 # for |r| near 1, and a bounded iteration count near r = 0, where doubles
@@ -571,19 +567,6 @@ def _hermite_eval(x0: float, x1: float, y0: float, y1: float,
         + (-2 * s3 + 3 * s2) * y1
         + (s3 - s2) * h * d1
     )
-
-
-def _eta_samples(p: SolitonParams, r: np.ndarray) -> np.ndarray:
-    """The guide curve eta at sample radii.
-
-    Within ``ETA_POLE_GAP`` of R the one-sided limit (-inf above R, +inf
-    below) stands in for the quotient, which would overflow there.
-    """
-    d = r - p.R
-    out = np.where(d > 0.0, -np.inf, np.inf)
-    far = np.abs(d) > ETA_POLE_GAP
-    out[far] = -np.sqrt(1.0 - r[far] * r[far]) / ((p.n - 1) * d[far])
-    return out
 
 
 def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,

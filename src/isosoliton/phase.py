@@ -28,9 +28,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .catalog import SolitonParams, make_params
 
 BISECTION_TOL = 1e-12
+
+# Distance from R inside which the sampled guide curves take their one-sided
+# limits: beyond it |eta|, |zeta| <= 1/|r - R| stay finite.
+ETA_POLE_GAP = 1e-300
 
 
 @dataclass(frozen=True)
@@ -92,27 +98,53 @@ def vprime_rhs(p: SolitonParams, r: float, vprime: float) -> float:
     )
 
 
-def eta(p: SolitonParams, r: float, side: float = 1.0) -> float:
+def eta(p: SolitonParams, r: float) -> float:
     """Guide curve eta(r) = -sqrt(1-r^2) / ((n-1)(r-R)).
 
-    At the singular level r == R the one-sided limits differ; ``side`` selects
-    which: side > 0 gives the limit from r > R (which is -inf), side < 0 the
-    limit from r < R (+inf).  At r = +-1 the curve vanishes.
+    At the singular level r == R it returns the limit from r > R, -inf (the
+    limit from r < R is +inf).  At r = +-1 the curve vanishes.
     """
     if abs(r) > 1.0:
         raise ValueError(f"eta undefined for |r| > 1, got r={r}")
     if r == p.R:
-        return -math.inf if side > 0 else math.inf
+        return -math.inf
     return -math.sqrt(1.0 - r * r) / ((p.n - 1) * (r - p.R))
 
 
-def zeta(p: SolitonParams, r: float, side: float = 1.0) -> float:
-    """Guide curve zeta(r) = -1 / (k (n-1)(r-R)); eta = k sqrt(1-r^2) zeta."""
+def zeta(p: SolitonParams, r: float) -> float:
+    """Guide curve zeta(r) = -1 / (k (n-1)(r-R)); eta = k sqrt(1-r^2) zeta.
+
+    At r == R it returns -inf, the limit from r > R, like :func:`eta`.
+    """
     if abs(r) > 1.0:
         raise ValueError(f"zeta undefined for |r| > 1, got r={r}")
     if r == p.R:
-        return -math.inf if side > 0 else math.inf
+        return -math.inf
     return -1.0 / (p.k * (p.n - 1) * (r - p.R))
+
+
+def _eta_samples(p: SolitonParams, r: np.ndarray) -> np.ndarray:
+    """:func:`eta` at an array of levels |r| <= 1, bit for bit off the pole."""
+    return _off_pole(p, r, lambda x, d: -np.sqrt(1.0 - x * x) / ((p.n - 1) * d))
+
+
+def _zeta_samples(p: SolitonParams, r: np.ndarray) -> np.ndarray:
+    """:func:`zeta` at an array of levels |r| <= 1, bit for bit off the pole."""
+    return _off_pole(p, r, lambda x, d: -1.0 / (p.k * (p.n - 1) * d))
+
+
+def _off_pole(p: SolitonParams, r: np.ndarray,
+              quotient: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """A guide curve given as a quotient of (r, r - R).
+
+    Within ``ETA_POLE_GAP`` of R, where the quotient would overflow, its
+    one-sided limit stands in: -inf for r >= R, +inf below.
+    """
+    d = r - p.R
+    out = np.where(d >= 0.0, -np.inf, np.inf)
+    far = np.abs(d) > ETA_POLE_GAP
+    out[far] = quotient(r[far], d[far])
+    return out
 
 
 def sign_region(p: SolitonParams, r: float, psi: float, eta_tol: float = 1e-9) -> str:

@@ -1,13 +1,15 @@
 """Command line: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from isosoliton import cli
+from isosoliton import _svg, cli
 from isosoliton.cli import EXIT_NUMERIC, EXIT_OK, EXIT_UNLISTED, EXIT_USAGE, main
 
 
@@ -41,6 +43,19 @@ class TestTrace:
             assert "k=1 n=2" in text       # params as a text element
             assert "type " in text         # shape label as a text element
             assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
+
+    def test_largest_ymax_draws(self, tmp_path, capsys):
+        """The span 2*ymax is still finite here, so the ticks can be placed."""
+        code, _ = run_cli(TRACE_ARGV + ["--svg", "--ymax", "8.9e307"], tmp_path, capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "psi.svg").read_text().startswith("<svg")
+
+    def test_path_lifts_pen_after_dropped_samples_and_at_breaks(self):
+        x = np.arange(7.0)
+        y = np.array([0.0, 1.0, np.nan, 3.0, 4.0, 50.0, 6.0])
+        breaks = np.array([False, False, False, False, True, False, False])
+        d = _svg._path(x, y, 10.0, lambda v: v, lambda v: v, breaks)
+        assert d == "M0.00 0.00L1.00 1.00M3.00 3.00M4.00 4.00M6.00 6.00"
 
     def test_endpoint_seeding(self, tmp_path, capsys):
         code, out = run_cli(
@@ -262,6 +277,7 @@ class TestFailurePaths:
         TRACE_ARGV + ["--tol", "inf"],
         TRACE_ARGV + ["--blowup-threshold", "inf"],
         ["verify", "--check", "grim-reaper", "--rng-seed", "-1"],
+        TRACE_ARGV + ["--svg", "--ymax", "9e307"],
     ])
     def test_bad_flag_is_usage_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -290,6 +306,66 @@ class TestFailurePaths:
             main(TRACE_ARGV + ["--out", str(tmp_path)])
 
 
+K1_SEED0 = ["--k", "1", "--n", "2", "--seed-r", "0.0", "--seed-psi", "0.0"]
+
+# sha256 of the five trace artifacts, recorded with CPython 3.11 and numpy 2.4
+# on x86-64 Linux before the figures were drawn from arrays.  The first five
+# runs are those of demos/figure_gallery.py.  The k=1 n=2 seed (0, 0) run
+# straddles R, so its guide curves break at the pole; the last two runs draw
+# them with a fixed range and each overlay alone.
+GOLDEN_ARTIFACTS = [
+    (K1_SEED0, {
+        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
+        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "psi.svg": "e366e6f060906d70858fd92701df2bc655fd11a0c407f4310e8f84f785a07757",
+        "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
+        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+    }),
+    (["--k", "1", "--n", "2", "--seed-r", "-0.63", "--seed-psi", "0.5"], {
+        "trace.csv": "4c67f829b560fd1eeaecc9be58a6074afdb4f6e542f3b870528e748056754bd6",
+        "trace.json": "9dc76469aa562109b492f82e29c0146c4bc2dc3c663edade9bf4e6f7e05b6f1d",
+        "psi.svg": "c37acb34c5e57f8ab6d6bc108dbcc7b5c875eb1a2e9d3c18ed0f9625871e880a",
+        "vprime.svg": "6a0b99ab0a7fa0d458051afce052ab3f04ffcd0ba2ad4b46f890ec7065cbf119",
+        "v.svg": "a84d95d0916afb4fa0b8c2167887e1b05c89cb9c16d2249f1e79a53189b5fd23",
+    }),
+    (["--k", "1", "--n", "2", "--endpoint", "-1"], {
+        "trace.csv": "5a0e999d8dfd308a607b812c748791b548d795b0051776ba53246e7e29220291",
+        "trace.json": "470c658471755b049b296e3897281565cdd2dc3b29179a628e31f78e2a0f3049",
+        "psi.svg": "0084ba82d8ff6ae2e831aeb1da26fb7d2f6e329bb7e2bdd6015f84773ad325e2",
+        "vprime.svg": "eadfc012aef9097efd489f2edbd20926362389d3d535ec614c7c5b12c17c2f7d",
+        "v.svg": "fb3321a94a933902be80a32ed754a7b0469aea77a1641bd6d6cd01b521948996",
+    }),
+    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--seed-r", "-0.5", "--seed-psi", "3.0"], {
+        "trace.csv": "4a2688293ead686b3e5253f7236c2a96d01c5d1e0cd5518abdc7d382574665d3",
+        "trace.json": "8b1c7267efdbfd28c1ae0540a300c0f7247a467b6c3acd1811dca7f623ea832d",
+        "psi.svg": "b7582c197165c9047b46f27252ebf0f352afc0c61620beea698a246002f66ad6",
+        "vprime.svg": "1d871164e6eea6ae6fd3d2d5d82439e9aac05bb370401eaa815f38b69fcc1b80",
+        "v.svg": "58c7b3dc3c7eeac2f26963ef3a2df0acd7c4ad60566de95ae4c56e1ae828b54e",
+    }),
+    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "1"], {
+        "trace.csv": "eb239f685764ca31218a6d1f9f53262c0351e42f65fce168c12a40a05186da0b",
+        "trace.json": "6b2812d85faa9efaebb3cfebecb810a86a1e8525658422762bf61e07fe41cc74",
+        "psi.svg": "187a35b097fe1483149883f350acc9d1c674c52a4f85cfc105d2dcd38bf34b17",
+        "vprime.svg": "f0f9357dfb61e3e08c9449698e7a1637d95e3360670e68bbb6909524b79bc5aa",
+        "v.svg": "ec9144c8e85e3ade1e4c65c3fec215ba2c3c1c02e1d3fcef6526dee2a27fc75f",
+    }),
+    (K1_SEED0 + ["--ymax", "3", "--overlays", "eta"], {
+        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
+        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "psi.svg": "38714e31513dbd0199e15fcb923a3d90160fb03ccc34e72fad4fce5111e074cd",
+        "vprime.svg": "179f3ed97b54a6a1080ed1719e241730bfc97706c9ea9b4f871941f1f6bec032",
+        "v.svg": "4e463428112d6004d0a7c5e96d386319dcc23eb3013511125eba91a3a00e1da3",
+    }),
+    (K1_SEED0 + ["--overlays", "zeta,R-line"], {
+        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
+        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "psi.svg": "bf7e2acb1d33a4d7562d5bd17862be5765451088cd17681c7476b3abce3d0472",
+        "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
+        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+    }),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_artifacts(self, tmp_path):
         """Identical flags must give identical bytes, subprocess to subprocess."""
@@ -302,6 +378,14 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr.decode()
         for name in ("trace.csv", "trace.json", "psi.svg", "vprime.svg", "v.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("tail, digests", GOLDEN_ARTIFACTS)
+    def test_artifacts_match_recorded_digests(self, tmp_path, capsys, tail, digests):
+        code, _ = run_cli(["trace", *tail, "--svg"], tmp_path, capsys)
+        assert code == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in digests}
+        assert got == digests
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         box = tmp_path / "boxed"

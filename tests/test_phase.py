@@ -27,7 +27,7 @@ from isosoliton import (
     vprime_rhs,
     zeta,
 )
-from isosoliton.phase import u_rhs
+from isosoliton.phase import ETA_POLE_GAP, _eta_samples, _zeta_samples, u_rhs
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -106,9 +106,8 @@ class TestGuideCurves:
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     def test_one_sided_limits_at_singular_level(self):
-        assert eta(P12, 0.0, side=+1.0) == -math.inf
-        assert eta(P12, 0.0, side=-1.0) == math.inf
-        assert zeta(P24, P24.R, side=+1.0) == -math.inf
+        assert eta(P12, 0.0) == -math.inf
+        assert zeta(P24, P24.R) == -math.inf
 
     def test_vanishes_at_focal_levels(self):
         assert eta(P12, 1.0) == 0.0
@@ -121,6 +120,37 @@ class TestGuideCurves:
                 if abs(r - p.R) < 1e-3:
                     continue
                 assert psi_rhs(p, r, eta(p, r)) == pytest.approx(0.0, abs=1e-12)
+
+
+GUIDE_SETS = [P12, P23, P24, make_params(3, 7, 2, 2), make_params(4, 9, 2, 3),
+              make_params(6, 13, 2, 2), make_params(2, 10, 8, 1)]
+
+
+class TestSampledGuideCurves:
+    """The array samplers the figures and the crossing scan share."""
+
+    @pytest.mark.parametrize("p", GUIDE_SETS, ids=lambda p: f"k{p.k}n{p.n}m{p.m1}-{p.m2}")
+    @pytest.mark.parametrize("sampled, pointwise",
+                             [(_eta_samples, eta), (_zeta_samples, zeta)],
+                             ids=["eta", "zeta"])
+    def test_equal_to_pointwise_bit_for_bit(self, p, sampled, pointwise):
+        rng = np.random.default_rng(p.n)
+        r = np.concatenate([np.linspace(-1.0, 1.0, 1001), rng.uniform(-1.0, 1.0, 1000),
+                            np.nextafter(p.R, [-1.0, 1.0]), [p.R]])
+        want = np.array([pointwise(p, x) for x in r.tolist()])
+        assert sampled(p, r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sampled", [_eta_samples, _zeta_samples], ids=["eta", "zeta"])
+    def test_one_sided_limits_near_pole(self, sampled):
+        """Within ETA_POLE_GAP of R the quotient would overflow; the limit
+        from each side stands in, and -inf at R itself, like the pointwise
+        curves."""
+        gap = ETA_POLE_GAP
+        near = np.array([-gap, -5e-324, 0.0, 5e-324, gap])
+        assert sampled(P12, near).tolist() == [math.inf, math.inf, -math.inf,
+                                                -math.inf, -math.inf]
+        assert np.isfinite(sampled(P12, np.array([-2.0 * gap, 2.0 * gap]))).all()
+        assert sampled(P24, np.array([P24.R])).tolist() == [-math.inf]
 
 
 class TestSignTrichotomy:
