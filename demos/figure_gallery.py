@@ -24,12 +24,13 @@ RUNS = [
                      "--endpoint", "1"]),
 ]
 
-for name, tail in RUNS:
-    out = OUT / name
-    out.mkdir(parents=True, exist_ok=True)
-    print(f"--- {name} ---")
-    code = main(["trace", *tail, "--svg", "--out", str(out)])
-    assert code == 0, f"trace failed for {name}"
+if __name__ == "__main__":
+    for name, tail in RUNS:
+        out = OUT / name
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"--- {name} ---")
+        code = main(["trace", *tail, "--svg", "--out", str(out)])
+        assert code == 0, f"trace failed for {name}"
 
-print()
-print(f"wrote {sum(1 for _ in OUT.rglob('*.svg'))} SVG panels under {OUT}")
+    print()
+    print(f"wrote {sum(1 for _ in OUT.rglob('*.svg'))} SVG panels under {OUT}")

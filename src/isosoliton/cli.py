@@ -10,14 +10,17 @@ type that consumes it (``make_params``, ``IntegratorConfig``,
 ``IsoparametricFn``, and ``check_crossing_tol`` for ``classify`` and
 ``sweep``); its ValueError becomes the usage error, before any
 integration starts.  Flags no library type takes (grids, ranges, counts,
-formats) are checked by their argparse converters.  A numeric failure is
-any of ``classifier.NUMERIC_FAILURES`` raised by the command itself;
-``main`` reports it once, as a JSON payload on stdout.
+formats) are checked by their argparse converters, and ``--out`` (or
+``$ISOSOLITON_OUT``) first of all.  A numeric failure is any of
+``classifier.NUMERIC_FAILURES`` raised by the command itself; ``main``
+reports it once, as a JSON payload on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import math
 import os
@@ -198,13 +201,19 @@ def _trace_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace,
     return maximal_trace(p, _seed_from_args(ap, args, p), cfg)
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    out = args.out or os.environ.get(OUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _check_out(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Resolve ``args.out``.  A path whose nearest existing ancestor is not a
+    directory can never become one: a usage error."""
+    args.out = args.out or os.environ.get(OUT_ENV) or "."
+    probe = os.path.abspath(args.out)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        ap.error(f"output directory {args.out!r}: {probe!r} is not a directory")
 
 
 def _write(out: str, name: str, text: str) -> str:
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -240,20 +249,18 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     formats = _parse_formats(ap, args)
     plot = _usage(ap, _svg.PlotConfig, ymax=args.ymax, overlays=args.overlays)
     trace = _trace_from_args(ap, args, p)
-    out = _out_dir(args)
 
     written = []
     if "csv" in formats:
-        csv_path = os.path.join(out, "trace.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            trace_to_csv(trace, fh)
-        written.append(csv_path)
+        csv = io.StringIO()
+        trace_to_csv(trace, csv)
+        written.append(_write(args.out, "trace.csv", csv.getvalue()))
     if "json" in formats:
-        written.append(_write(out, "trace.json", _json_text(trace_to_json(trace))))
+        written.append(_write(args.out, "trace.json", _json_text(trace_to_json(trace))))
     if "svg" in formats:
         figs = _svg.trace_figures(p, trace, _shape_labels(trace), plot)
         for key in ("psi", "vprime", "v"):
-            written.append(_write(out, f"{key}.svg", figs[key]))
+            written.append(_write(args.out, f"{key}.svg", figs[key]))
     print(f"left: {trace.left_event.kind} at {trace.left_event.location:.6g}")
     print(f"right: {trace.right_event.kind} at {trace.right_event.location:.6g}")
     for path in written:
@@ -266,13 +273,12 @@ def cmd_classify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tol = _usage(ap, check_crossing_tol, args.crossing_tol)
     trace = _trace_from_args(ap, args, p)
     shape = classify(trace, tol=tol)
-    out = _out_dir(args)
     domain = None
     if p.k in (1, 2, 3) and not shape.is_unlisted:
         domain = domain_report(p, shape)
 
     report = classification_report(trace, shape, domain)
-    path = _write(out, "classify.json", _json_text(report))
+    path = _write(args.out, "classify.json", _json_text(report))
     print(f"type: psi {shape.psi_type} / slope {shape.vprime_type} / height {shape.v_type}")
     if shape.zero_crossing is not None:
         print(f"zero crossing at r = {shape.zero_crossing:.6g}")
@@ -290,10 +296,9 @@ def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     seeds = grid_seeds(args.r_range, args.psi_range, *args.grid)
     if args.with_endpoints:
         seeds += [_usage(ap, endpoint_seed, p, which, args.epsilon) for which in (-1, 1)]
-    out = _out_dir(args)
 
     result = sweep(p, seeds, cfg=cfg, tol=tol, workers=workers)
-    path = _write(out, "sweep.json", _json_text(sweep_to_dict(result)))
+    path = _write(args.out, "sweep.json", _json_text(sweep_to_dict(result)))
 
     print(f"seeds: {result.n_seeds}")
     print("type    count")
@@ -390,9 +395,8 @@ def cmd_verify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         payload, ok = _check_ode_residual(ap, args)
     else:
         payload, ok = _check_endpoint_law(ap, args)
-    out = _out_dir(args)
     payload["pass"] = ok
-    path = _write(out, "verify.json", _json_text(payload))
+    path = _write(args.out, "verify.json", _json_text(payload))
     print(f"{'PASS' if ok else 'FAIL'}; wrote {path}")
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -420,7 +424,6 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.type is not None and shape.v_type != args.type:
         raise ValueError(f"seed produced type {shape.v_type}, not the requested {args.type}")
     domain = domain_report(p, shape)
-    out = _out_dir(args)
 
     payload = {
         "params": params_to_dict(p),
@@ -430,7 +433,7 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "contains_focal_plus": domain.contains_focal_plus,
         "description": domain.description,
     }
-    path = _write(out, "domain.json", _json_text(payload))
+    path = _write(args.out, "domain.json", _json_text(payload))
     if p.k == 2:
         lo, hi = domain.description["theta_lo"], domain.description["theta_hi"]
         lob = "[" if domain.description["closed_lo"] else "("
@@ -444,7 +447,9 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="isosoliton",
         description="Translating-soliton profile runs over isoparametric foliations of the sphere.",
@@ -518,10 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.command == "verify" and args.check in ("ode-residual", "endpoint-law") and args.k is None:
         ap.error(f"--check {args.check} requires --k/--n")
+    _check_out(ap, args)
     try:
         return args.func(ap, args)
     except NUMERIC_FAILURES as exc:

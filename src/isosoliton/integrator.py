@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,27 +82,24 @@ ENDPOINT_COVER = 0.01
 # is above BLOWUP_SOFT and |psi| still growing, else BudgetExhausted.
 STEP_COLLAPSE = 1e-14
 BLOWUP_SOFT = 1e4
-# Stored samples per trace; curvature-weighted thinning above this.
-MAX_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tunables for the adaptive walk.
 
-    tol                    per-step local error tolerance (mixed abs/rel,
-                           on psi or on u = 1/psi^2, whichever is carried).
-    blowup_threshold       |psi| at which blow-up is declared outright, at
-                           the last accepted sample (a fallback: the pole
-                           is normally located as the zero of u first).
-    max_steps              attempted-step budget per direction.
-    epsilon                default focal-level offset for endpoint seeds.
-    max_step               global cap on |step|; also bounds the sample
-                           spacing, which crossing detection relies on.
-    keep_full_resolution   bypass thinning to ``MAX_SAMPLES``.
+    tol                per-step local error tolerance (mixed abs/rel, on
+                       psi or on u = 1/psi^2, whichever is carried).
+    blowup_threshold   |psi| at which blow-up is declared outright, at the
+                       last accepted sample (a fallback: the pole is
+                       normally located as the zero of u first).
+    max_steps          attempted-step budget per direction; a trace keeps
+                       every accepted sample, at most 2 * max_steps + 1.
+    epsilon            default focal-level offset for endpoint seeds.
+    max_step           global cap on |step|; also bounds the sample
+                       spacing, which crossing detection relies on.
 
-    The endpoint, step-collapse and sample-budget settings are the module
-    constants above.
+    The endpoint and step-collapse settings are the module constants above.
     """
 
     tol: float = 1e-10
@@ -110,7 +107,6 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
     epsilon: float = 1e-6
     max_step: float = 0.01
-    keep_full_resolution: bool = False
 
     def __post_init__(self) -> None:
         for name in ("tol", "blowup_threshold", "epsilon", "max_step"):
@@ -609,31 +605,12 @@ def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
     return tuple(out)
 
 
-def _thin_indices(r: np.ndarray, psi: np.ndarray, max_samples: int,
-                  protected: Iterable[int]) -> np.ndarray:
-    """Curvature-weighted sample selection keeping at most max_samples points.
-
-    Importance is the local turning of the bounded graph (r, arctan psi), so
-    blow-up tails do not hog the budget; protected indices are always kept.
-    """
-    n = len(r)
-    if n <= max_samples:
-        return np.arange(n)
-    ang = np.arctan(psi)
-    turn = np.zeros(n)
-    turn[1:-1] = np.abs(np.diff(ang, 2))
-    weight = turn + turn.mean() + 1e-300
-    cum = np.concatenate([[0.0], np.cumsum(weight)])
-    levels = np.linspace(0.0, cum[-1], max_samples)
-    idx = np.searchsorted(cum, levels, side="left")
-    idx = np.clip(idx, 0, n - 1)
-    idx = np.union1d(idx, np.asarray(sorted(set(protected)), dtype=int))
-    if len(idx) > max_samples:
-        keep = np.linspace(0, len(idx) - 1, max_samples).round().astype(int)
-        protected_set = set(int(i) for i in protected)
-        chosen = set(int(idx[j]) for j in keep) | protected_set
-        idx = np.asarray(sorted(chosen), dtype=int)
-    return idx
+def _profile_slopes(k: int, r: np.ndarray, psi: np.ndarray,
+                    dpsi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V' = psi / (k sqrt(1-r^2)) and its derivative
+    V'' = psi' / (k sqrt(1-r^2)) + psi r / (k (1-r^2)^(3/2)) at the samples."""
+    sq = np.sqrt(1.0 - r * r)
+    return psi / (k * sq), dpsi / (k * sq) + psi * r / (k * sq**3)
 
 
 def maximal_trace(
@@ -643,10 +620,10 @@ def maximal_trace(
 ) -> Trace:
     """Bidirectional maximal run through ``seed`` with derived columns.
 
-    Left and right runs are merged on a strictly increasing r grid, the
-    profile derivative and (by trapezoid quadrature, gauged to v = 0 at the
-    seed) the profile itself are attached, and zero / guide-curve crossings
-    are located on the full-resolution samples before any thinning.
+    Every accepted sample of the left and right runs is merged, the seed
+    once, on a strictly increasing r grid; the profile derivative and (by
+    trapezoid quadrature, gauged to v = 0 at the seed) the profile itself
+    are attached, and zero / guide-curve crossings are located.
     """
     left = integrate_from(p, seed, -1, cfg)
     right = integrate_from(p, seed, +1, cfg)
@@ -654,31 +631,24 @@ def maximal_trace(
     r = np.concatenate([left.r[::-1][:-1], right.r])
     psi = np.concatenate([left.psi[::-1][:-1], right.psi])
     dpsi = np.concatenate([left.dpsi[::-1][:-1], right.dpsi])
-    seed_idx = len(left.r) - 1
 
-    sq = np.sqrt(1.0 - r * r)
-    vprime = psi / (p.k * sq)
+    vprime, dvprime = _profile_slopes(p.k, r, psi, dpsi)
     # Trapezoid with the Hermite endpoint correction h^2/12 (f'_0 - f'_1);
     # the derivative of vprime comes for free from the stored slope
     # derivatives, and the correction buys two orders in the sample spacing.
-    dvprime = dpsi / (p.k * sq) + psi * r / (p.k * sq**3)
     h_i = np.diff(r)
     dv = 0.5 * (vprime[1:] + vprime[:-1]) * h_i \
         - h_i * h_i / 12.0 * (dvprime[1:] - dvprime[:-1])
     v = np.concatenate([[0.0], np.cumsum(dv)])
-    v -= v[seed_idx]
+    v -= v[len(left.r) - 1]
 
     crossings = _find_crossings(p, r, psi, dpsi)
-
-    if not cfg.keep_full_resolution and len(r) > MAX_SAMPLES:
-        idx = _thin_indices(r, psi, MAX_SAMPLES, protected=[0, seed_idx, len(r) - 1])
-        r, psi, dpsi, vprime, v = r[idx], psi[idx], dpsi[idx], vprime[idx], v[idx]
 
     stats = StepStats(
         accepted=left.stats.accepted + right.stats.accepted,
         rejected=left.stats.rejected + right.stats.rejected,
-        min_step=min(s for s in (left.stats.min_step, right.stats.min_step) if s > 0.0)
-        if (left.stats.min_step > 0.0 or right.stats.min_step > 0.0) else 0.0,
+        min_step=min((s for s in (left.stats.min_step, right.stats.min_step) if s > 0.0),
+                     default=0.0),
         max_step=max(left.stats.max_step, right.stats.max_step),
     )
     return Trace(
@@ -789,8 +759,7 @@ def self_convergence(
     default it is the largest sampled interval around the seed where
     |psi| <= 10.  A degenerate window yields zero deviation by construction.
     """
-    full_cfg = dataclasses.replace(cfg, keep_full_resolution=True)
-    trace = maximal_trace(p, seed, full_cfg)
+    trace = maximal_trace(p, seed, cfg)
     if window is None:
         window = _auto_window(trace, seed)
     lo, hi = window

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.interpolate import BPoly
 
 from .catalog import SolitonParams, alpha, beta
-from .integrator import Trace
+from .integrator import Trace, _profile_slopes
 from .phase import vprime_rhs
 
 AMBIENT_EUCLIDEAN = "euclidean"
@@ -389,8 +389,7 @@ def graph_from_trace(
     """
     if f.k != p.k:
         raise ValueError(f"family has k={f.k} but parameters have k={p.k}")
-    sq = np.sqrt(1.0 - trace.r**2)
-    dvprime = trace.dpsi / (p.k * sq) + trace.psi * trace.r / (p.k * sq**3)
+    _, dvprime = _profile_slopes(p.k, trace.r, trace.psi, trace.dpsi)
     spline = _quintic_hermite(trace.r, trace.v, trace.vprime, dvprime)
     lo, hi = float(trace.r[0]), float(trace.r[-1])
 

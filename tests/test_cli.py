@@ -3,14 +3,18 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isosoliton import _svg, cli
 from isosoliton.cli import EXIT_NUMERIC, EXIT_OK, EXIT_UNLISTED, EXIT_USAGE, main
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def run_cli(args, tmp_path, capsys):
@@ -286,6 +290,26 @@ class TestFailurePaths:
         assert e.value.code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_not_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                via_env, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = str(blocker / below) if below else str(blocker)
+        if via_env:
+            monkeypatch.setenv("ISOSOLITON_OUT", out)
+            argv = TRACE_ARGV
+        else:
+            argv = TRACE_ARGV + ["--out", out]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and repr(out) in errors[0]
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("exc", [ZeroDivisionError, FloatingPointError, OverflowError,
                                      RuntimeError, ValueError])
     def test_numeric_failure_payload(self, tmp_path, capsys, monkeypatch, exc):
@@ -306,59 +330,88 @@ class TestFailurePaths:
             main(TRACE_ARGV + ["--out", str(tmp_path)])
 
 
+class TestReentrantMain:
+    def test_runs_after_a_usage_error_match_a_first_run(self, tmp_path, capsys):
+        """The parser is built once; a parse, or a usage error after one,
+        must leave nothing behind for the next call."""
+        runs = [TRACE_ARGV + ["--svg"], ["classify", *TRACE_ARGV[1:]]]
+        first, again = tmp_path / "first", tmp_path / "again"
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(first / str(i))]) == EXIT_OK
+        assert main(runs[0] + ["--out", str(again / "0")]) == EXIT_OK
+        with pytest.raises(SystemExit) as e:
+            main(["classify", *TRACE_ARGV[1:], "--tol", "nan", "--crossing-tol", "0.5",
+                  "--out", str(tmp_path / "bad")])
+        assert e.value.code == EXIT_USAGE
+        assert main(runs[1] + ["--out", str(again / "1")]) == EXIT_OK
+        capsys.readouterr()
+        assert cli._parser() is cli._parser()
+        for i in range(len(runs)):
+            want = {f.name: f.read_bytes() for f in (first / str(i)).iterdir()}
+            got = {f.name: f.read_bytes() for f in (again / str(i)).iterdir()}
+            assert got == want
+        assert not (tmp_path / "bad").exists()
+
+
 K1_SEED0 = ["--k", "1", "--n", "2", "--seed-r", "0.0", "--seed-psi", "0.0"]
 
+# The argv tails of demos/figure_gallery.py, read from the demo itself.
+GALLERY_RUNS = runpy.run_path(str(DEMOS / "figure_gallery.py"), run_name="gallery")["RUNS"]
+
 # sha256 of the five trace artifacts, recorded with CPython 3.11 and numpy 2.4
-# on x86-64 Linux before the figures were drawn from arrays.  The first five
-# runs are those of demos/figure_gallery.py.  The k=1 n=2 seed (0, 0) run
-# straddles R, so its guide curves break at the pole; the last two runs draw
-# them with a fixed range and each overlay alone.
-GOLDEN_ARTIFACTS = [
-    (K1_SEED0, {
+# on x86-64 Linux before the figures were drawn from arrays (trace.json again
+# when its "cfg" block went from six keys to five).  The k=1 n=2 seed (0, 0)
+# run straddles R, so its guide curves break at the pole; the two runs after
+# the gallery's draw them with a fixed range and each overlay alone.
+GALLERY_DIGESTS = {
+    "k1_type_I": {
         "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
         "psi.svg": "e366e6f060906d70858fd92701df2bc655fd11a0c407f4310e8f84f785a07757",
         "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
         "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
-    }),
-    (["--k", "1", "--n", "2", "--seed-r", "-0.63", "--seed-psi", "0.5"], {
+    },
+    "k1_type_II": {
         "trace.csv": "4c67f829b560fd1eeaecc9be58a6074afdb4f6e542f3b870528e748056754bd6",
-        "trace.json": "9dc76469aa562109b492f82e29c0146c4bc2dc3c663edade9bf4e6f7e05b6f1d",
+        "trace.json": "9cd3a364df82c3c013f7e43bb362cf87a899f85c911672cb11198b0bdddb8ec9",
         "psi.svg": "c37acb34c5e57f8ab6d6bc108dbcc7b5c875eb1a2e9d3c18ed0f9625871e880a",
         "vprime.svg": "6a0b99ab0a7fa0d458051afce052ab3f04ffcd0ba2ad4b46f890ec7065cbf119",
         "v.svg": "a84d95d0916afb4fa0b8c2167887e1b05c89cb9c16d2249f1e79a53189b5fd23",
-    }),
-    (["--k", "1", "--n", "2", "--endpoint", "-1"], {
+    },
+    "k1_type_VI": {
         "trace.csv": "5a0e999d8dfd308a607b812c748791b548d795b0051776ba53246e7e29220291",
-        "trace.json": "470c658471755b049b296e3897281565cdd2dc3b29179a628e31f78e2a0f3049",
+        "trace.json": "36ef03e18587f5104c669d27ca705da24c36cce5cc49347f4c53b050536ce1ff",
         "psi.svg": "0084ba82d8ff6ae2e831aeb1da26fb7d2f6e329bb7e2bdd6015f84773ad325e2",
         "vprime.svg": "eadfc012aef9097efd489f2edbd20926362389d3d535ec614c7c5b12c17c2f7d",
         "v.svg": "fb3321a94a933902be80a32ed754a7b0469aea77a1641bd6d6cd01b521948996",
-    }),
-    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--seed-r", "-0.5", "--seed-psi", "3.0"], {
+    },
+    "k2_type_IV": {
         "trace.csv": "4a2688293ead686b3e5253f7236c2a96d01c5d1e0cd5518abdc7d382574665d3",
-        "trace.json": "8b1c7267efdbfd28c1ae0540a300c0f7247a467b6c3acd1811dca7f623ea832d",
+        "trace.json": "f7233f290cf2d17ff525cb89937b7e067e16d16a9de739b5f06114e25bd2be7d",
         "psi.svg": "b7582c197165c9047b46f27252ebf0f352afc0c61620beea698a246002f66ad6",
         "vprime.svg": "1d871164e6eea6ae6fd3d2d5d82439e9aac05bb370401eaa815f38b69fcc1b80",
         "v.svg": "58c7b3dc3c7eeac2f26963ef3a2df0acd7c4ad60566de95ae4c56e1ae828b54e",
-    }),
-    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "1"], {
+    },
+    "k2_type_VII": {
         "trace.csv": "eb239f685764ca31218a6d1f9f53262c0351e42f65fce168c12a40a05186da0b",
-        "trace.json": "6b2812d85faa9efaebb3cfebecb810a86a1e8525658422762bf61e07fe41cc74",
+        "trace.json": "eec81ae69cc845acd23ab01f22b9f409b1455065a770dbae1db8e99eed630922",
         "psi.svg": "187a35b097fe1483149883f350acc9d1c674c52a4f85cfc105d2dcd38bf34b17",
         "vprime.svg": "f0f9357dfb61e3e08c9449698e7a1637d95e3360670e68bbb6909524b79bc5aa",
         "v.svg": "ec9144c8e85e3ade1e4c65c3fec215ba2c3c1c02e1d3fcef6526dee2a27fc75f",
-    }),
+    },
+}
+
+GOLDEN_ARTIFACTS = [(tail, GALLERY_DIGESTS[name]) for name, tail in GALLERY_RUNS] + [
     (K1_SEED0 + ["--ymax", "3", "--overlays", "eta"], {
         "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
         "psi.svg": "38714e31513dbd0199e15fcb923a3d90160fb03ccc34e72fad4fce5111e074cd",
         "vprime.svg": "179f3ed97b54a6a1080ed1719e241730bfc97706c9ea9b4f871941f1f6bec032",
         "v.svg": "4e463428112d6004d0a7c5e96d386319dcc23eb3013511125eba91a3a00e1da3",
     }),
     (K1_SEED0 + ["--overlays", "zeta,R-line"], {
         "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "60a8aa1db6ffe98f2f0105e548e574ebedbf5794d1d160e03f2e356224d3a4d2",
+        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
         "psi.svg": "bf7e2acb1d33a4d7562d5bd17862be5765451088cd17681c7476b3abce3d0472",
         "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
         "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
@@ -378,6 +431,9 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr.decode()
         for name in ("trace.csv", "trace.json", "psi.svg", "vprime.svg", "v.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_every_gallery_run_has_digests(self):
+        assert [name for name, _ in GALLERY_RUNS] == list(GALLERY_DIGESTS)
 
     @pytest.mark.parametrize("tail, digests", GOLDEN_ARTIFACTS)
     def test_artifacts_match_recorded_digests(self, tmp_path, capsys, tail, digests):

@@ -39,7 +39,7 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
-from isosoliton.integrator import MAX_SAMPLES, U_ENTER, _dp5_psi, _dp5_u
+from isosoliton.integrator import U_ENTER, _dp5_psi, _dp5_u
 from isosoliton.phase import u_rhs
 
 P12 = make_params(1, 2, 1, 1)
@@ -215,7 +215,7 @@ class TestCrossingScan:
         (make_params(2, 10, 8, 1), PhasePoint(-0.7308317466068817, -0.2363704139606826)),
     ])
     def test_matches_segment_loop(self, p, seed):
-        tr = maximal_trace(p, seed, dataclasses.replace(CFG, keep_full_resolution=True))
+        tr = maximal_trace(p, seed, CFG)
         want = _crossings_by_loop(p, tr.r, tr.psi, tr.dpsi)
         assert [c.kind for c in tr.crossings] == [k for k, _ in want]
         for c, (_, x) in zip(tr.crossings, want):
@@ -275,14 +275,17 @@ class TestMaximalTrace:
         one = SimpleNamespace(r=np.array([0.2]), psi=np.array([1.5]), dpsi=np.array([3.0]))
         assert psi_at(one, 0.2) == 1.5
 
-    def test_thinning_cap(self):
-        tr = maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)
-        assert len(tr.r) <= MAX_SAMPLES
-        full = maximal_trace(
-            P12, PhasePoint(0.0, 0.0),
-            dataclasses.replace(CFG, keep_full_resolution=True),
-        )
-        assert len(full.r) >= len(tr.r)
+    @pytest.mark.parametrize("p, seed, cfg", [
+        *((P23, s, CFG) for s in K2N3_SUBGRID),
+        # 5,401 samples: a tight tolerance must not cost resolution
+        (P12, PhasePoint(0.0, 0.0), IntegratorConfig(tol=1e-15)),
+    ])
+    def test_keeps_every_accepted_sample(self, p, seed, cfg):
+        tr = maximal_trace(p, seed, cfg)
+        left = integrate_from(p, seed, -1, cfg)
+        right = integrate_from(p, seed, +1, cfg)
+        assert len(tr.r) == len(left.r) + len(right.r) - 1
+        np.testing.assert_array_equal(tr.r, np.concatenate([left.r[::-1], right.r[1:]]))
 
     def test_seed_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -364,7 +367,7 @@ class TestSerialization:
         assert CROSSING_ZERO in kinds
 
     def test_json_cfg_is_the_settable_config(self):
-        cfg = IntegratorConfig(tol=1e-9, max_step=0.02, keep_full_resolution=True)
+        cfg = IntegratorConfig(tol=1e-9, max_step=0.02)
         tr = maximal_trace(P12, PhasePoint(0.0, 0.0), cfg)
         block = json.loads(json.dumps(trace_to_json(tr)))["cfg"]
         assert IntegratorConfig(**block) == tr.cfg

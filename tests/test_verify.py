@@ -33,6 +33,7 @@ from isosoliton import (
     theta_of_level,
     vprime_rhs,
 )
+from isosoliton.integrator import _profile_slopes
 from isosoliton.verify import _quintic_hermite
 
 K1N2 = make_params(1, 2, 1, 1)
@@ -312,6 +313,9 @@ class TestBatchedStencil:
         tr, _ = _criterion8_family(p, f)
         sq = np.sqrt(1.0 - tr.r**2)
         dvprime = tr.dpsi / (p.k * sq) + tr.psi * tr.r / (p.k * sq**3)
+        vprime, shared = _profile_slopes(p.k, tr.r, tr.psi, tr.dpsi)
+        assert shared.tobytes() == dvprime.tobytes()
+        assert vprime.tobytes() == tr.vprime.tobytes()
         ref = BPoly.from_derivatives(tr.r, np.column_stack([tr.v, tr.vprime, dvprime]))
         got = _quintic_hermite(tr.r, tr.v, tr.vprime, dvprime)
         assert got.c.shape == ref.c.shape
