@@ -98,11 +98,9 @@ def _path(x: np.ndarray, y: np.ndarray, cap: float, xmap, ymap,
     pen_up[1:] = ~keep[:-1]
     if breaks is not None:
         pen_up |= breaks
-    cmds = np.where(pen_up[keep], "M", "L").tolist()
-    xs = xmap(x[keep]).tolist()
-    ys = ymap(y[keep]).tolist()
-    # The _px rounding, inlined: this loop formats every sample.
-    return "".join(f"{c}{u:.2f} {v:.2f}" for c, u, v in zip(cmds, xs, ys))
+    # The template repeats _px's rounding, one "%.2f" per coordinate.
+    template = "".join(np.where(pen_up[keep], "M%.2f %.2f", "L%.2f %.2f").tolist())
+    return template % tuple(np.column_stack((xmap(x[keep]), ymap(y[keep]))).ravel().tolist())
 
 
 def render_plot(
@@ -271,9 +269,10 @@ def trace_figures(
 
     shape_labels carries the per-level type names (or a placeholder when
     classification failed); they land in the top-right annotation block.
+    A one-sample trace gets a fixed horizontal range of +-0.01 around it.
     """
     span = float(trace.r[-1] - trace.r[0])
-    pad = 0.02 * span
+    pad = 0.02 * span if span > 0.0 else 0.01
     xlim = (float(trace.r[0]) - pad, float(trace.r[-1]) + pad)
     params_note = f"k={p.k} n={p.n} m1={p.m1} m2={p.m2} R={p.R:g}"
     vlines = [("r=R", p.R)] if "R-line" in cfg.overlays and xlim[0] < p.R < xlim[1] else []

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -322,6 +323,8 @@ class SweepResult:
 # propagates.
 NUMERIC_FAILURES = (ValueError, RuntimeError, ArithmeticError)
 
+_CHUNKSIZE = 8  # seeds per task handed to a sweep worker
+
 
 def _sweep_one(args: tuple[SolitonParams, PhasePoint, IntegratorConfig, float]) -> SweepEntry:
     p, seed, cfg, tol = args
@@ -342,14 +345,23 @@ def sweep(
     """Classify a batch of seeds; collect per-seed failures instead of raising.
 
     ``workers`` > 1 distributes the integrations over processes; results are
-    returned in seed order either way.  A bad ``tol`` raises before any seed
-    runs.
+    returned in seed order either way.  A pool starts all its workers at
+    once, so ``workers`` is clamped to the CPUs this process may use and to
+    one worker per chunk of seeds; one worker runs in this process.  A bad
+    ``tol`` or ``workers`` < 1 raises before any seed runs.
     """
     check_crossing_tol(tol)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(p, s, cfg, tol) for s in seeds]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus, math.ceil(len(jobs) / _CHUNKSIZE))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_sweep_one, jobs, chunksize=8))
+            entries = list(pool.map(_sweep_one, jobs, chunksize=_CHUNKSIZE))
     else:
         entries = [_sweep_one(j) for j in jobs]
 

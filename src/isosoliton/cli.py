@@ -250,17 +250,19 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     plot = _usage(ap, _svg.PlotConfig, ymax=args.ymax, overlays=args.overlays)
     trace = _trace_from_args(ap, args, p)
 
-    written = []
+    # every artifact is rendered before any is written, so that a numeric
+    # failure leaves no output behind
+    texts: dict[str, str] = {}
     if "csv" in formats:
         csv = io.StringIO()
         trace_to_csv(trace, csv)
-        written.append(_write(args.out, "trace.csv", csv.getvalue()))
+        texts["trace.csv"] = csv.getvalue()
     if "json" in formats:
-        written.append(_write(args.out, "trace.json", _json_text(trace_to_json(trace))))
+        texts["trace.json"] = _json_text(trace_to_json(trace))
     if "svg" in formats:
         figs = _svg.trace_figures(p, trace, _shape_labels(trace), plot)
-        for key in ("psi", "vprime", "v"):
-            written.append(_write(args.out, f"{key}.svg", figs[key]))
+        texts.update((f"{key}.svg", figs[key]) for key in ("psi", "vprime", "v"))
+    written = [_write(args.out, name, text) for name, text in texts.items()]
     print(f"left: {trace.left_event.kind} at {trace.left_event.location:.6g}")
     print(f"right: {trace.right_event.kind} at {trace.right_event.location:.6g}")
     for path in written:
@@ -292,12 +294,11 @@ def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tol = _usage(ap, check_crossing_tol, args.crossing_tol)
     if not (-1.0 < args.r_range[0] and args.r_range[1] < 1.0):
         ap.error("--r-range must stay inside (-1, 1)")
-    workers = min(args.workers, os.cpu_count() or 1)
     seeds = grid_seeds(args.r_range, args.psi_range, *args.grid)
     if args.with_endpoints:
         seeds += [_usage(ap, endpoint_seed, p, which, args.epsilon) for which in (-1, 1)]
 
-    result = sweep(p, seeds, cfg=cfg, tol=tol, workers=workers)
+    result = sweep(p, seeds, cfg=cfg, tol=tol, workers=args.workers)
     path = _write(args.out, "sweep.json", _json_text(sweep_to_dict(result)))
 
     print(f"seeds: {result.n_seeds}")
@@ -487,7 +488,8 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--with-endpoints", action="store_true",
                    help="add the two endpoint-seeded runs")
     s.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes, at least 1; more than the CPU count are clamped to it")
+                   help="worker processes, at least 1; clamped to the usable CPUs "
+                        "and to one per 8 seeds")
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
     s.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)

@@ -853,12 +853,9 @@ def event_to_dict(e: TerminationEvent) -> dict:
 
 def trace_to_csv(trace: Trace, stream) -> None:
     """Write the sample table as CSV with 17 significant digits."""
-    stream.write("r,psi,vprime,v\n")
-    for i in range(len(trace.r)):
-        stream.write(
-            f"{trace.r[i]:.17g},{trace.psi[i]:.17g},"
-            f"{trace.vprime[i]:.17g},{trace.v[i]:.17g}\n"
-        )
+    cells = np.column_stack((trace.r, trace.psi, trace.vprime, trace.v)).ravel().tolist()
+    body = "%.17g,%.17g,%.17g,%.17g\n" * len(trace.r) % tuple(cells)
+    stream.write("r,psi,vprime,v\n" + body)
 
 
 def trace_to_json(trace: Trace) -> dict:

@@ -278,6 +278,33 @@ class TestSweep:
         with pytest.raises(ValueError, match="crossing tol"):
             sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, tol=tol, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_workers_raise_before_any_seed(self, monkeypatch, workers):
+        def never(p, seed, cfg):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(classifier, "maximal_trace", never)
+        with pytest.raises(ValueError, match="workers"):
+            sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, workers=workers)
+
+    # (workers asked, seeds, usable CPUs, pool size or None for serial);
+    # a chunk is 8 seeds
+    @pytest.mark.parametrize("workers, n_seeds, cpus, pool", [
+        (64, 17, 2, 2),      # clamped to the CPUs
+        (64, 9, 8, 2),       # clamped to one worker per chunk
+        (3, 25, 8, 3),       # as asked
+        (4, 8, 8, None),     # one chunk runs serially
+        (64, 17, 1, None),   # one CPU runs serially
+        (1, 17, 8, None),
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, fake_pool, workers, n_seeds, cpus, pool):
+        monkeypatch.setattr(classifier.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        seeds = grid_seeds((-0.6, 0.6), (-3.0, 3.0), n_seeds, 1)
+        res = sweep(P12, seeds, cfg=CFG, workers=workers)
+        assert fake_pool == ([] if pool is None else [pool])
+        assert [e.seed for e in res.entries] == seeds
+        assert sum(res.histogram.values()) == n_seeds
+
     def test_sweep_to_dict_structure(self):
         seeds = grid_seeds((-0.3, 0.3), (-1.0, 1.0), 2, 2)
         d = sweep_to_dict(sweep(P12, seeds, cfg=CFG))

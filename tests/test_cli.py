@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isosoliton import _svg, cli
+from isosoliton import _svg, classifier, cli
 from isosoliton.cli import EXIT_NUMERIC, EXIT_OK, EXIT_UNLISTED, EXIT_USAGE, main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -60,6 +60,16 @@ class TestTrace:
         breaks = np.array([False, False, False, False, True, False, False])
         d = _svg._path(x, y, 10.0, lambda v: v, lambda v: v, breaks)
         assert d == "M0.00 0.00L1.00 1.00M3.00 3.00M4.00 4.00M6.00 6.00"
+
+    def test_one_sample_trace_draws(self, tmp_path, capsys):
+        """A huge seed collapses the first step, so the trace is one sample
+        wide; its figures get a fixed range around it."""
+        code, _ = run_cli(["trace", "--k", "1", "--n", "2", "--seed-r", "0",
+                           "--seed-psi", "1e100", "--svg"], tmp_path, capsys)
+        assert code == EXIT_OK
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 2
+        for name in ("psi.svg", "vprime.svg", "v.svg"):
+            assert (tmp_path / name).read_text().startswith("<svg")
 
     def test_endpoint_seeding(self, tmp_path, capsys):
         code, out = run_cli(
@@ -171,22 +181,14 @@ class TestSweep:
                   "--workers", workers, "--out", str(tmp_path)])
         assert e.value.code == EXIT_USAGE
 
-    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
-        # the sweep is replaced by a serial one that records the requested
-        # worker count, so no process is started
-        seen = []
-        real_sweep = cli.sweep
-
-        def serial_sweep(p, seeds, cfg, tol, workers):
-            seen.append(workers)
-            return real_sweep(p, seeds, cfg=cfg, tol=tol, workers=1)
-
-        monkeypatch.setattr(cli, "sweep", serial_sweep)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        code, _ = run_cli(["sweep", "--k", "1", "--n", "2", "--grid", "1x1",
+    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch, fake_pool):
+        """The CLI hands --workers to the sweep, which clamps it to the
+        usable CPUs."""
+        monkeypatch.setattr(classifier.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        code, _ = run_cli(["sweep", "--k", "1", "--n", "2", "--grid", "5x5",
                            "--workers", "64"], tmp_path, capsys)
         assert code == EXIT_OK
-        assert seen == [3]
+        assert fake_pool == [3]
 
 
 class TestVerify:
@@ -321,6 +323,19 @@ class TestFailurePaths:
         assert code == EXIT_NUMERIC
         assert json.loads(out) == {"error": f"{exc.__name__}: boom", "command": "trace"}
 
+    def test_figure_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """Every artifact is rendered before any is written: a failing
+        figure leaves neither trace.csv nor trace.json behind."""
+        def fail(*args):
+            raise ArithmeticError("no figure")
+
+        monkeypatch.setattr(_svg, "trace_figures", fail)
+        out = tmp_path / "out"
+        code, stdout = run_cli(TRACE_ARGV + ["--formats", "csv,json,svg"], out, capsys)
+        assert code == EXIT_NUMERIC
+        assert json.loads(stdout) == {"error": "ArithmeticError: no figure", "command": "trace"}
+        assert not out.exists()
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def fail(*args):
             raise TypeError("boom")
@@ -414,6 +429,31 @@ GOLDEN_ARTIFACTS = [(tail, GALLERY_DIGESTS[name]) for name, tail in GALLERY_RUNS
         "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
         "psi.svg": "bf7e2acb1d33a4d7562d5bd17862be5765451088cd17681c7476b3abce3d0472",
         "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
+        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+    }),
+    # Recorded before each figure path was formatted in one template: an
+    # endpoint seed, a pole at r = 0.99999993, and a ymax whose cap
+    # 10*ymax is inf, so that only the pole breaks lift the guide pens.
+    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"], {
+        "trace.csv": "d1c264a955c5cddca48554cf417ae254c493c884fbd737696933ece23bfca955",
+        "trace.json": "42a0d69a67c1ec096ac1d6d4234c2a3a1c213ffcd9d354dbeb89346936c92fe5",
+        "psi.svg": "7d89a2a9005c2f6ca659d0bdf5e388946151302a832af3baf28a78c7b3530355",
+        "vprime.svg": "d10e71ed6983bd7f9929809d5061231e87dfd2012600b596f58f1fdb5767dfa9",
+        "v.svg": "cde52a315cd4ded6ff3708e526f36e3126c3d60e8b2a4cf39cf78540b36e2f3f",
+    }),
+    (["--k", "2", "--n", "3", "--m", "1",
+      "--seed-r", "-0.5966564091734834", "--seed-psi", "-1.7876768807877506"], {
+        "trace.csv": "fed1df8db28821077a7dca85a1f0eb4e0fee068dd642551c68f3cf945f071e8b",
+        "trace.json": "58f7a63814a59a2580b6f96d3c5b3b950549c66c8dcc06539b553245ce52c850",
+        "psi.svg": "d75966c277344be3d0418d38226826d2be2b76dbd50c53eef3d115a36e31c288",
+        "vprime.svg": "ffa14e1e6e93bfe020f1e68ec2473aa45bc6eaa6278414491bbbc408f140f84a",
+        "v.svg": "58195d65e0870540c7caad3b9832ed98df6695b3d27cb193719199c053785a5b",
+    }),
+    (K1_SEED0 + ["--ymax", "8.9e307"], {
+        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
+        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
+        "psi.svg": "615bae4ceb6047f8e015811a93a7c460e013dd8354dd24dc17dd5dac2cd4275b",
+        "vprime.svg": "a70d6d2de67396d5bc44d3b545a35e06488d08f10b8d6464e8aa2d476ee16c0b",
         "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
     }),
 ]
