@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .catalog import SolitonParams, alpha, beta
 from .integrator import Trace, _profile_slopes
@@ -356,12 +355,13 @@ def grim_reaper(x: np.ndarray) -> float | np.ndarray:
     return -np.log(np.cos(x[-1]))
 
 
-def _quintic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray) -> BPoly:
-    """The C^2 piecewise quintic through (y, y', y'') at every knot of x.
+def _quintic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients, as a (6, N-1) array, of the C^2 piecewise
+    quintic through (y, y', y'') at every knot of x.
 
-    The same Bernstein coefficients as ``BPoly.from_derivatives(x,
-    column_stack([y, dy, d2y]))``, operation for operation, but computed for
-    all intervals at once instead of in a Python loop over them.
+    The same coefficients as ``BPoly.from_derivatives(x, column_stack([y,
+    dy, d2y])).c``, operation for operation, but computed for all intervals
+    at once instead of in a Python loop over them.
     """
     dx = np.diff(x)
     dx2 = dx**2
@@ -371,7 +371,31 @@ def _quintic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarr
     c5 = y[1:]
     c4 = -(dy[1:] / 5.0) * dx + c5
     c3 = d2y[1:] / 20.0 * dx2 + 2.0 * c4 - c5
-    return BPoly(np.array([c0, c1, c2, c3, c4, c5]), x)
+    return np.array([c0, c1, c2, c3, c4, c5])
+
+
+def _eval_quintic(c: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """Value at t of the piecewise quintic with Bernstein coefficients c on
+    the knots x, as ``BPoly(c, x)(t)`` gives it up to rounding.
+
+    Interval i holds x[i] <= t < x[i+1], and t == x[-1] falls in the last
+    one.  At s = 0 only the c0 term survives and at s = 1 only the c5 term,
+    so the value at every knot is the knot's y exactly.  A 0-d t gives a
+    scalar.
+    """
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    s = (t - x[i]) / (x[i + 1] - x[i])
+    r = 1.0 - s
+    s2, r2 = s * s, r * r
+    cc = c[:, i]
+    return (
+        cc[0] * (r2 * r2 * r)
+        + 5.0 * cc[1] * (s * r2 * r2)
+        + 10.0 * cc[2] * (s2 * r2 * r)
+        + 10.0 * cc[3] * (s2 * s * r2)
+        + 5.0 * cc[4] * (s2 * s2 * r)
+        + cc[5] * (s2 * s2 * s)
+    )[()]
 
 
 def graph_from_trace(
@@ -389,8 +413,10 @@ def graph_from_trace(
     """
     if f.k != p.k:
         raise ValueError(f"family has k={f.k} but parameters have k={p.k}")
+    if len(trace.r) < 2:
+        raise ValueError("a graph needs at least two samples")
     _, dvprime = _profile_slopes(p.k, trace.r, trace.psi, trace.dpsi)
-    spline = _quintic_hermite(trace.r, trace.v, trace.vprime, dvprime)
+    c = _quintic_hermite(trace.r, trace.v, trace.vprime, dvprime)
     lo, hi = float(trace.r[0]), float(trace.r[-1])
 
     def u(x: np.ndarray) -> float | np.ndarray:
@@ -403,7 +429,7 @@ def graph_from_trace(
                 f"level r={worst} outside integrated span [{lo}, {hi}] "
                 f"({off.size} of {np.size(t)} points)"
             )
-        return spline(t)[()]
+        return _eval_quintic(c, trace.r, t)
 
     return u
 

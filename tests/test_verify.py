@@ -34,7 +34,7 @@ from isosoliton import (
     vprime_rhs,
 )
 from isosoliton.integrator import _profile_slopes
-from isosoliton.verify import _quintic_hermite
+from isosoliton.verify import _eval_quintic, _quintic_hermite
 
 K1N2 = make_params(1, 2, 1, 1)
 K2N3 = make_params(2, 3, 1, 1)
@@ -318,9 +318,30 @@ class TestBatchedStencil:
         assert vprime.tobytes() == tr.vprime.tobytes()
         ref = BPoly.from_derivatives(tr.r, np.column_stack([tr.v, tr.vprime, dvprime]))
         got = _quintic_hermite(tr.r, tr.v, tr.vprime, dvprime)
-        assert got.c.shape == ref.c.shape
-        assert got.c.tobytes() == ref.c.tobytes()
-        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.shape == ref.c.shape
+        assert got.tobytes() == ref.c.tobytes()
+        assert tr.r.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("p, f", [
+        (K1N2, IsoparametricFn(ISO_K1, 2)),
+        (K2N3, IsoparametricFn(ISO_K2, 3, l=2)),
+    ], ids=["K1n2", "K2n3"])
+    def test_quintic_matches_bpoly(self, p, f):
+        tr, _ = _criterion8_family(p, f)
+        _, dvprime = _profile_slopes(p.k, tr.r, tr.psi, tr.dpsi)
+        c = _quintic_hermite(tr.r, tr.v, tr.vprime, dvprime)
+        t = np.random.default_rng(8).uniform(tr.r[0], tr.r[-1], 10_000)
+        got = _eval_quintic(c, tr.r, t)
+        assert got.shape == t.shape
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(tr.v))
+        np.testing.assert_allclose(got, BPoly(c, tr.r)(t), rtol=0.0, atol=tol)
+        # Only c0 survives at s = 0, and only c5 at the last knot's s = 1.
+        assert _eval_quintic(c, tr.r, tr.r).tobytes() == tr.v.tobytes()
+        for end in (0, -1):
+            assert _eval_quintic(c, tr.r, tr.r[end]) == tr.v[end]
+        level = _eval_quintic(c, tr.r, float(t[0]))
+        assert np.ndim(level) == 0 and not isinstance(level, np.ndarray)
+        assert level == got[0]
 
     @pytest.mark.parametrize("f, t_hi", [
         (IsoparametricFn(ISO_K1, 2), 0.6),
@@ -357,6 +378,13 @@ class TestGraphSpan:
         pts[17] = [0.0, 0.0, 1.0]
         with pytest.raises(ValueError, match=r"level r=1\.0 outside .*\(1 of 30 points\)"):
             u(pts.T)
+
+    def test_one_sample_trace_rejected(self):
+        # A seed with |psi| >= ~1e13 stops at once and leaves one sample.
+        tr = maximal_trace(K1N2, PhasePoint(0.0, 1e14))
+        assert len(tr.r) == 1
+        with pytest.raises(ValueError, match="at least two samples"):
+            graph_from_trace(K1N2, tr, self.F)
 
     def test_nan_point_rejected(self):
         u, lo, hi = self._u_and_span()
