@@ -19,7 +19,6 @@ functions; everything else imports from here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 ADMISSIBLE_K = (1, 2, 3, 4, 6)
@@ -114,20 +113,20 @@ def params_to_dict(p: SolitonParams) -> dict:
 def params_from_dict(d: dict) -> SolitonParams:
     """Rebuild and re-validate params from :func:`params_to_dict` output.
 
-    The stored R is checked against the recomputed value (tolerance 1e-12) so
-    a hand-edited file cannot smuggle in an inconsistent level.
+    Every field must be integral, and the stored R is checked against the
+    recomputed value (tolerance 1e-12), so a hand-edited file cannot smuggle
+    in a truncated tuple or an inconsistent level.
     """
-    p = make_params(int(d["k"]), int(d["n"]), int(d["m1"]), int(d["m2"]))
-    if "R" in d and abs(float(d["R"]) - p.R) > 1e-12:
+    fields = []
+    for key in ("k", "n", "m1", "m2"):
+        value = float(d[key])
+        if not value.is_integer():
+            raise ValueError(f"{key} must be integral, got {d[key]!r}")
+        fields.append(int(value))
+    p = make_params(*fields)
+    if "R" in d and not abs(float(d["R"]) - p.R) <= 1e-12:
         raise ValueError(
             f"stored R={d['R']} disagrees with derived R={p.R} for {p}"
         )
     return p
 
-
-def params_to_json(p: SolitonParams) -> str:
-    return json.dumps(params_to_dict(p))
-
-
-def params_from_json(s: str) -> SolitonParams:
-    return params_from_dict(json.loads(s))

@@ -34,9 +34,6 @@ stages unrolled with the right-hand side inlined: they repeat the
 floating-point operations of ``phase.psi_rhs`` and ``phase.u_rhs`` in the
 same order, so a step is bit for bit the tableau walked over those
 functions, which stay the reference (the tests hold the kernels to it).
-
-Fixed-step Euler and RK4 walks are provided as independent cross-checks;
-they share nothing with the adaptive path except the right-hand side.
 """
 
 from __future__ import annotations
@@ -113,8 +110,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.max_steps < 1:
-            raise ValueError("the step budget must be positive")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError(f"the step budget must be a positive int, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -675,134 +672,6 @@ def psi_at(trace: Trace, r: float | np.ndarray) -> float | np.ndarray:
         val = _hermite_eval(trace.r[i], trace.r[i + 1], trace.psi[i], trace.psi[i + 1],
                             trace.dpsi[i], trace.dpsi[i + 1], x)
     return float(val) if x.ndim == 0 else val
-
-
-def trace_deviation(a: Trace, b: Trace, window: tuple[float, float], npts: int = 1001) -> float:
-    """Max |psi_a - psi_b| on a shared window, by dense evaluation."""
-    lo, hi = window
-    for t in (a, b):
-        if not (t.r[0] <= lo and hi <= t.r[-1]):
-            raise ValueError(f"window {window} outside trace span [{t.r[0]}, {t.r[-1]}]")
-    grid = np.linspace(lo, hi, npts)
-    return float(np.max(np.abs(psi_at(a, grid) - psi_at(b, grid))))
-
-
-def euler_walk(p: SolitonParams, seed: PhasePoint, r_stop: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step explicit Euler from the seed to r_stop (sign of travel from
-    the ordering of seed.r and r_stop).  Oracle-grade: shares only the RHS
-    with the adaptive path."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    direction = 1.0 if r_stop >= seed.r else -1.0
-    n_steps = int(abs(r_stop - seed.r) / h)
-    k, n, R = p.k, p.n, p.R
-    r, y = seed.r, seed.psi
-    rs = [r]
-    ys = [y]
-    sqrt = math.sqrt
-    step = direction * h
-    for _ in range(n_steps):
-        # phase.psi_rhs, inlined with the same operations in the same order
-        one_minus_r2 = 1.0 - r * r
-        drift = (n - 1) * (r - R) * y + sqrt(one_minus_r2)
-        y += step * ((y * y + 1.0) * drift / (k * one_minus_r2))
-        r += step
-        rs.append(r)
-        ys.append(y)
-    return np.asarray(rs), np.asarray(ys)
-
-
-def rk4_walk(p: SolitonParams, seed: PhasePoint, r_stop: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step classical RK4 companion to :func:`euler_walk`."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    direction = 1.0 if r_stop >= seed.r else -1.0
-    n_steps = int(abs(r_stop - seed.r) / h)
-    r, y = seed.r, seed.psi
-    rs = [r]
-    ys = [y]
-    step = direction * h
-    for _ in range(n_steps):
-        k1 = psi_rhs(p, r, y)
-        k2 = psi_rhs(p, r + 0.5 * step, y + 0.5 * step * k1)
-        k3 = psi_rhs(p, r + 0.5 * step, y + 0.5 * step * k2)
-        k4 = psi_rhs(p, r + step, y + step * k3)
-        y += step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        r += step
-        rs.append(r)
-        ys.append(y)
-    return np.asarray(rs), np.asarray(ys)
-
-
-@dataclass(frozen=True)
-class SelfConvergenceReport:
-    window: tuple[float, float]
-    euler_h: float
-    rk4_h: float
-    max_dev_euler: float
-    max_dev_rk4: float
-    euler_steps: int
-    rk4_steps: int
-
-
-def self_convergence(
-    p: SolitonParams,
-    seed: PhasePoint,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    window: tuple[float, float] | None = None,
-    euler_h: float = 1e-6,
-    rk4_h: float = 1e-4,
-) -> SelfConvergenceReport:
-    """Deviation of the adaptive run from fixed-step oracles on a window.
-
-    The window must contain the seed (both oracles walk outward from it); by
-    default it is the largest sampled interval around the seed where
-    |psi| <= 10.  A degenerate window yields zero deviation by construction.
-    """
-    trace = maximal_trace(p, seed, cfg)
-    if window is None:
-        window = _auto_window(trace, seed)
-    lo, hi = window
-    if not (lo <= seed.r <= hi):
-        raise ValueError(f"window {window} must contain the seed r={seed.r}")
-    if not (trace.r[0] <= lo and hi <= trace.r[-1]):
-        raise ValueError(f"window {window} outside trace span")
-
-    def walk_dev(walker, h: float) -> tuple[float, int]:
-        dev = 0.0
-        steps = 0
-        for stop in (lo, hi):
-            if abs(stop - seed.r) < h:
-                continue
-            rs, ys = walker(p, seed, stop, h)
-            steps += len(rs) - 1
-            # the walk's accumulated r may pass a window edge by rounding
-            at = psi_at(trace, np.clip(rs, trace.r[0], trace.r[-1]))
-            dev = max(dev, float(np.max(np.abs(ys - at))))
-        return dev, steps
-
-    dev_e, n_e = walk_dev(euler_walk, euler_h)
-    dev_r, n_r = walk_dev(rk4_walk, rk4_h)
-    return SelfConvergenceReport(
-        window=(lo, hi), euler_h=euler_h, rk4_h=rk4_h,
-        max_dev_euler=dev_e, max_dev_rk4=dev_r,
-        euler_steps=n_e, rk4_steps=n_r,
-    )
-
-
-def _auto_window(trace: Trace, seed: PhasePoint) -> tuple[float, float]:
-    mask = np.abs(trace.psi) <= 10.0
-    idx = int(np.searchsorted(trace.r, seed.r))
-    idx = min(max(idx, 0), len(trace.r) - 1)
-    if not mask[idx]:
-        return (seed.r, seed.r)
-    lo = idx
-    while lo > 0 and mask[lo - 1]:
-        lo -= 1
-    hi = idx
-    while hi < len(mask) - 1 and mask[hi + 1]:
-        hi += 1
-    return (float(trace.r[lo]), float(trace.r[hi]))
 
 
 def endpoint_vprime_extrapolated(

@@ -335,6 +335,8 @@ def blowup_bound(p: SolitonParams, r0: float, psi0: float, side: int) -> float:
         raise ValueError(f"side must be -1 or +1, got {side!r}")
     if psi0 == 0.0:
         raise ValueError("blow-up bound undefined for psi0 = 0")
+    if not math.isfinite(psi0):
+        raise ValueError(f"blow-up bound needs finite psi0, got {psi0}")
     if not abs(r0) < 1.0:
         raise ValueError(f"blow-up bound needs |r0| < 1, got {r0}")
 

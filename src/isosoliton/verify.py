@@ -118,13 +118,6 @@ def theta_of_level(t: float) -> float:
     return math.acos(math.sqrt(0.5 * (1.0 + t)))
 
 
-def level_of_theta(theta: float) -> float:
-    """Inverse of :func:`theta_of_level`: t = cos(2 theta)."""
-    if not 0.0 <= theta <= 0.5 * math.pi:
-        raise ValueError(f"colatitude must be in [0, pi/2], got {theta}")
-    return math.cos(2.0 * theta)
-
-
 @dataclass(frozen=True)
 class GraphSample:
     """A graph u over sample points, differentiated by finite differences.
@@ -261,24 +254,6 @@ def ode_residual_at(p: SolitonParams, r: float, vprime: float, vsecond: float | 
         + 2.0 * b * vprime
         - 2.0
     )
-
-
-def general_ode_residual(p: SolitonParams, trace: Trace, vprime_cap: float = 100.0) -> ResidualReport:
-    """Profile-equation residual along a trace's samples.
-
-    Samples with |V'| above ``vprime_cap`` (blow-up tails) are excluded: the
-    residual is identically zero in exact arithmetic, but its float
-    evaluation loses ~|V'|^3 eps to cancellation, which would swamp the
-    check without saying anything about the trace.
-    """
-    mask = np.abs(trace.vprime) <= vprime_cap
-    if not np.any(mask):
-        raise ValueError(f"no samples with |V'| <= {vprime_cap}")
-    vals = np.array([
-        ode_residual_at(p, float(r), float(vp))
-        for r, vp in zip(trace.r[mask], trace.vprime[mask])
-    ])
-    return ResidualReport(values=vals)
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,13 @@ from isosoliton import (
     ode_residual_at,
     psi_at,
     psi_rhs,
-    self_convergence,
     sign_region,
     soliton_residual,
     sphere_points_in_band,
     sweep,
     vprime_rhs,
 )
+from oracles import self_convergence
 
 # the parameter sets the endpoint-law criterion names, reused by the
 # algebraic criteria

@@ -1,21 +1,18 @@
 """Parameter catalog: validation rules, derived constants, serialization."""
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isosoliton import (
-    ADMISSIBLE_K,
     alpha,
     beta,
     make_params,
     params_from_dict,
-    params_from_json,
     params_to_dict,
-    params_to_json,
 )
+from isosoliton.catalog import ADMISSIBLE_K
 
 
 class TestValidation:
@@ -112,21 +109,13 @@ class TestProperties:
         p = make_params(2, m1 + m2 + 1, m1, m2)
         assert params_from_dict(params_to_dict(p)) == p
 
-    def test_roundtrip_json(self):
-        p = make_params(4, 10, 4, 2)
-        q = params_from_json(params_to_json(p))
-        assert q == p
-
     def test_dict_keys_exact(self):
         d = params_to_dict(make_params(1, 3, 2, 2))
         assert set(d) == {"k", "n", "m1", "m2", "R"}
 
     def test_tampered_level_rejected(self):
         d = params_to_dict(make_params(2, 4, 1, 2))
-        d["R"] = d["R"] + 1e-6
-        with pytest.raises(ValueError):
-            params_from_dict(d)
-
-    def test_json_is_plain(self):
-        text = params_to_json(make_params(1, 2, 1, 1))
-        assert json.loads(text) == {"k": 1, "n": 2, "m1": 1, "m2": 1, "R": 0.0}
+        for edit in ({"R": d["R"] + 1e-6}, {"R": math.nan}, {"k": 2.9, "n": 3.7},
+                     {"m1": 1.5}, {"n": math.inf}):
+            with pytest.raises(ValueError):
+                params_from_dict({**d, **edit})

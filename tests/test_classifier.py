@@ -26,12 +26,12 @@ from isosoliton import (
     grid_seeds,
     make_params,
     maximal_trace,
-    shape_to_dict,
     sweep,
     sweep_to_dict,
     theta_of_level,
     type_correspondence,
 )
+from isosoliton.classifier import shape_to_dict
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)

@@ -1,5 +1,6 @@
 """The runtime needs numpy alone: what src/ imports is what pyproject.toml
-declares, and scipy stays a test oracle."""
+declares, and scipy stays a test oracle.  The public surface is what the
+README and the demos import, and the test oracles stay out of src/."""
 
 import ast
 import os
@@ -62,3 +63,37 @@ def test_imports_match_declared_dependencies():
     imported = set().union(*map(_imported_top_level, (SRC / "isosoliton").glob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - {"isosoliton"}
     assert third_party == runtime
+
+
+# defined in tests/oracles.py or deleted; none of them may return to src/
+TEST_ONLY = {"trace_deviation", "euler_walk", "rk4_walk", "SelfConvergenceReport",
+             "self_convergence", "general_ode_residual", "_auto_window",
+             "level_of_theta", "params_to_json", "params_from_json"}
+
+
+def _imported_from_package(tree: ast.AST) -> set[str]:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "isosoliton"
+            for alias in node.names}
+
+
+def test_public_surface():
+    import isosoliton
+
+    names = isosoliton.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(isosoliton, n)] == []
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    used = _imported_from_package(ast.parse(quick_start.group(1)))
+    assert used
+    for demo in (ROOT / "demos").glob("*.py"):
+        used |= _imported_from_package(ast.parse(demo.read_text(encoding="utf-8")))
+    assert used <= set(names)
+
+    for path in (SRC / "isosoliton").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert defined.isdisjoint(TEST_ONLY), path.name

@@ -25,7 +25,6 @@ from isosoliton import (
     endpoint_seed,
     endpoint_vprime_extrapolated,
     endpoint_vprime_limit,
-    euler_walk,
     eta,
     grid_seeds,
     integrate_from,
@@ -33,14 +32,12 @@ from isosoliton import (
     maximal_trace,
     psi_at,
     psi_rhs,
-    rk4_walk,
-    self_convergence,
-    trace_deviation,
     trace_to_csv,
     trace_to_json,
 )
 from isosoliton.integrator import U_ENTER, _dp5_psi, _dp5_u
 from isosoliton.phase import u_rhs
+from oracles import euler_walk, rk4_walk, self_convergence, trace_deviation
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -379,8 +376,9 @@ class TestConfigValidation:
             IntegratorConfig(tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(blowup_threshold=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_steps=0)
+        for steps in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                IntegratorConfig(max_steps=steps)
 
     @pytest.mark.parametrize("name", ["tol", "blowup_threshold", "epsilon", "max_step"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -307,8 +307,9 @@ class TestBlowupBound:
         assert q.R == pytest.approx(-P24.R, abs=1e-15)
 
     def test_rejects_zero_slope(self):
-        with pytest.raises(ValueError):
-            blowup_bound(P12, 0.5, 0.0, +1)
+        for psi0 in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                blowup_bound(P12, 0.5, psi0, +1)
 
     def test_root_hugging_focal_level(self):
         """Tiny psi0 pushes the h1 root within one ulp of the focal level;
