@@ -60,11 +60,13 @@ def make_params(k: int, n: int, m1: int, m2: int) -> SolitonParams:
     checked; the profile equations depend on the tuple only through the
     constants above, so every admissible tuple integrates fine.
     """
-    if k not in ADMISSIBLE_K:
+    # type(...) is int: 2.0 == 2 and True is an int subclass, and either
+    # would pass a membership or isinstance test into params_to_dict's JSON
+    if type(k) is not int or k not in ADMISSIBLE_K:
         raise ValueError(f"k must be one of {ADMISSIBLE_K}, got {k!r}")
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError(f"ambient sphere dimension n must be an integer >= 2, got {n!r}")
-    if not (isinstance(m1, int) and isinstance(m2, int)):
+    if not (type(m1) is int and type(m2) is int):
         raise ValueError(f"multiplicities must be integers, got m1={m1!r}, m2={m2!r}")
     if m1 < 1 or m2 < 1:
         raise ValueError(f"multiplicities must be >= 1, got m1={m1}, m2={m2}")

@@ -33,6 +33,8 @@ from . import _svg
 from .catalog import SolitonParams, make_params, params_to_dict
 from .classifier import (
     DEFAULT_CROSSING_TOL,
+    LOCKSTEP_MAX_SEEDS,
+    LOCKSTEP_MIN_SEEDS,
     NUMERIC_FAILURES,
     ROMANS,
     check_crossing_tol,
@@ -489,7 +491,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="add the two endpoint-seeded runs")
     s.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at least 1; clamped to the usable CPUs "
-                        "and to one per 8 seeds")
+                        "and to one per 8 seeds.  Seeds run in blocks of at most "
+                        f"{LOCKSTEP_MAX_SEEDS}, and of at most ceil(seeds / workers) "
+                        f"with a pool; a block of {LOCKSTEP_MIN_SEEDS} seeds or more "
+                        "integrates in lockstep, with the same results")
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
     s.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)

@@ -34,6 +34,19 @@ stages unrolled with the right-hand side inlined: they repeat the
 floating-point operations of ``phase.psi_rhs`` and ``phase.u_rhs`` in the
 same order, so a step is bit for bit the tableau walked over those
 functions, which stay the reference (the tests hold the kernels to it).
+
+``_integrate_lanes`` is the lockstep walk a large sweep block runs: it
+advances many (seed, direction) lanes at once, one attempted step of every
+running lane per iteration, with numpy arrays in place of the scalar loop
+of :func:`integrate_from`.  Its contract is that every lane's HalfTrace is
+byte for byte the one ``integrate_from`` returns.  So each stage repeats the
+floating-point operations of ``_dp5_psi`` and ``_dp5_u`` in the same order
+(elementwise IEEE arithmetic and sqrt round as Python's do); min and max are
+``np.where`` on the scalar code's comparison, never ``np.minimum`` or
+``np.maximum``; and the step factor ``err_norm ** -0.2`` is
+``np.float_power``, which matches Python's ``**``, where ``np.power`` may
+take a SIMD path that differs in the last bit.  Single traces keep the
+scalar walk, which is also the lockstep's reference in the tests.
 """
 
 from __future__ import annotations
@@ -379,6 +392,241 @@ def integrate_from(
     return finish(event, accepted, rejected, hmin_seen, hmax_seen)
 
 
+# The Dormand-Prince nodes of stages 2 to 6 (stage 7 shares the last) as a
+# column, and the stage weights h * A(i, j) flattened row by row: stage i
+# reads its i - 1 weights at _A_ROWS[i - 2].
+_NODES = np.array([[_C2], [_C3], [_C4], [_C5], [1.0]])
+_A_FLAT = np.array([
+    [_A21],
+    [_A31], [_A32],
+    [_A41], [_A42], [_A43],
+    [_A51], [_A52], [_A53], [_A54],
+    [_A61], [_A62], [_A63], [_A64], [_A65],
+    [_A71], [_A72], [_A73], [_A74], [_A75], [_A76],
+])
+_A_ROWS = ((0, 1), (1, 3), (3, 6), (6, 10), (10, 15), (15, 21))
+_E_COL = np.array([[_E1], [_E2], [_E3], [_E4], [_E5], [_E6], [_E7]])
+
+# Rows of the lockstep state, one column per running lane (whether a lane
+# carries u is a boolean array beside it).  The first four are the sample a
+# lane stores once it accepts a step.
+(_LANE, _R, _PSI, _DPSI, _Y, _K1, _H, _PREV, _END, _RSTOP, _SLACK,
+ _SIGN, _ACC, _REJ, _HMIN, _HMAX) = range(16)
+
+
+def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
+                     cfg: IntegratorConfig) -> list[HalfTrace]:
+    """``integrate_from(p, seed, direction, cfg)`` for every (seed, direction)
+    lane at once, in numpy; the module docstring says why each HalfTrace is
+    bit for bit the scalar one.
+
+    Every iteration takes one attempt of every running lane; a lane leaves
+    the working arrays when its scalar run would have returned.  Pole
+    location and the step-collapse exit run the scalar code on their lane.
+    Any exception (a stage at |r| >= 1, a pole bisection without a sign
+    change) is raised for the whole call, so a caller can fall back to
+    ``integrate_from`` per lane.  The identity takes float seed coordinates,
+    which ``grid_seeds`` and ``endpoint_seed`` give: a lane that accepts no
+    step keeps an int seed coordinate an int in ``integrate_from``, and
+    makes it a float here.
+    """
+    k, n1, R = float(p.k), float(p.n - 1), p.R
+    tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
+    n_lanes = len(lanes)
+    events: list[TerminationEvent | None] = [None] * n_lanes
+    stats: list[StepStats | None] = [None] * n_lanes
+    first = np.empty((4, n_lanes))
+    columns = []
+    for i, (seed, direction) in enumerate(lanes):
+        if direction not in (-1, 1):
+            raise ValueError(f"direction must be -1 or +1, got {direction!r}")
+        endpoint = float(direction)
+        r, y = seed.r, seed.psi
+        k1 = psi_rhs(p, r, y)
+        first[:, i] = (i, r, y, k1)
+        gap0 = abs(endpoint - r)
+        if gap0 <= ENDPOINT_TOL:
+            events[i] = TerminationEvent(kind=REGULAR_ENDPOINT, location=endpoint,
+                                         endpoint_vprime=y / (k * math.sqrt(1.0 - r * r)))
+            stats[i] = StepStats(accepted=0, rejected=0, min_step=0.0, max_step=0.0)
+            continue
+        relative_rule = gap0 <= ENDPOINT_START_WINDOW
+        stop_gap = max(ENDPOINT_TOL, ENDPOINT_COVER * gap0 if relative_rule else 0.0)
+        r_stop = endpoint - direction * stop_gap
+        h = direction * min(max_step, 0.25 * gap0, 1e-3)
+        columns.append((i, r, y, k1, y, k1, h, abs(y), endpoint, r_stop,
+                        stop_gap + 1e-15, 1.0, 0.0, 0.0, math.inf, 0.0))
+
+    def finish(col: np.ndarray, event: TerminationEvent) -> None:
+        i = int(col[_LANE])
+        accepted = int(col[_ACC])
+        events[i] = event
+        stats[i] = StepStats(accepted=accepted, rejected=int(col[_REJ]),
+                             min_step=float(col[_HMIN]) if accepted else 0.0,
+                             max_step=float(col[_HMAX]) if accepted else 0.0)
+
+    def blowup(positive: bool, location: float) -> TerminationEvent:
+        return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
+                                location=location)
+
+    chunks = [first]
+    st = np.array(columns, dtype=float).reshape(len(columns), 16).T.copy()
+    in_u = np.zeros(len(columns), dtype=bool)
+    any_u = False
+    # Python floats overflow to inf silently where numpy warns.  And lanes
+    # that do not carry u run the u kernel's arithmetic, and the reverse, on
+    # values it was never meant for; np.where then discards those results.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _attempt in range(cfg.max_steps):
+            if not st.shape[1]:
+                break
+            r, y, k1, end, r_stop = st[_R], st[_Y], st[_K1], st[_END], st[_RSTOP]
+
+            hcap = 0.5 * np.abs(end - r)
+            hcap = np.where(hcap < max_step, hcap, max_step)
+            h = st[_H]
+            h = np.where(np.abs(h) > hcap, end * hcap, h)
+            h = np.where((r + h - r_stop) * end >= 0.0, r_stop - r, h)
+
+            # x-only terms at the five distinct nodes r + c h, last r + h
+            x = r + _NODES * h
+            w = 1.0 - x * x
+            # The scalar kernels raise here too, unless an earlier stage has
+            # already left the finite range; raising in that case as well
+            # only sends the caller back to integrate_from.
+            if not (w > 0.0).all():
+                raise _singular(float(x[~(w > 0.0)][0]))
+            a = n1 * (x - R)
+            sq = np.sqrt(w)
+            kw = k * w
+            if any_u:
+                sign = st[_SIGN]
+                ssq = sign * sq
+
+            def rhs(node: int, ys: np.ndarray) -> np.ndarray:
+                f = (ys * ys + 1.0) * (a[node] * ys + sq[node]) / kw[node]
+                if any_u:
+                    su = np.sqrt(np.where(ys < 0.0, 0.0, ys))
+                    g = -2.0 * (1.0 + ys) * (a[node] + ssq[node] * su) / kw[node]
+                    f = np.where(in_u, g, f)
+                return f
+
+            ha = _A_FLAT * h
+            ks = np.empty((7, len(h)))
+            ks[0] = k1
+            for stage, (lo, hi) in enumerate(_A_ROWS):
+                terms = ha[lo:hi] * ks[:hi - lo]
+                ys = y + terms[0]
+                for t in terms[1:]:
+                    ys += t
+                ks[stage + 1] = rhs(min(stage, 4), ys)
+            y7, k7 = ys, ks[6]
+            terms = _E_COL * ks
+            err = 0.0 + terms[0]
+            for t in terms[1:]:
+                err += t
+            err *= h
+
+            # A stage that leaves the finite range makes y7 non-finite: every
+            # A(i+1, i) is nonzero, and the zero A72 turns an infinite k2
+            # into NaN.  So this is the scalar kernels' rejection.
+            ay, ay7 = np.abs(y), np.abs(y7)
+            scale = np.where(ay7 > ay, ay7, ay)
+            err_norm = np.where(np.isfinite(y7) & np.isfinite(err),
+                                np.abs(err) / (tol * (1.0 + scale)), np.inf)
+            acc = err_norm <= 1.0
+            ah = np.abs(h)
+            st[_ACC] += acc
+            st[_REJ] += ~acc
+            st[_HMIN] = np.where(acc & (ah < st[_HMIN]), ah, st[_HMIN])
+            st[_HMAX] = np.where(acc & (ah > st[_HMAX]), ah, st[_HMAX])
+
+            if any_u:
+                pole = acc & in_u & (y7 <= 0.0)  # the step crossed the pole
+                stored = acc & ~pole
+                psi = np.where(in_u, sign / np.sqrt(y7), y7)
+                dpsi = np.where(in_u, (psi * psi + 1.0) * (a[4] * psi + sq[4]) / kw[4], k7)
+            else:
+                pole = None
+                stored = acc
+                psi, dpsi = y7, k7
+            st[_PREV] = np.where(stored, np.abs(st[_PSI]), st[_PREV])
+            st[_R] = np.where(stored, x[4], r)
+            st[_Y] = np.where(stored, y7, y)
+            st[_K1] = np.where(stored, k7, k1)
+            st[_PSI] = np.where(stored, psi, st[_PSI])
+            st[_DPSI] = np.where(stored, dpsi, st[_DPSI])
+            chunks.append(st[:4, stored])
+
+            apsi = np.abs(st[_PSI])
+            switch = stored & np.where(in_u, apsi < U_LEAVE, apsi > U_ENTER)
+            if switch.any():
+                enter = switch & ~in_u
+                psi_now = st[_PSI]
+                u = 1.0 / (psi_now * psi_now)
+                sgn = np.copysign(1.0, psi_now)
+                ku = -2.0 * (1.0 + u) * (a[4] + sgn * sq[4] * np.sqrt(np.where(0.0 > u, 0.0, u))) \
+                    / kw[4]
+                st[_SIGN] = np.where(enter, sgn, st[_SIGN])
+                st[_Y] = np.where(switch, np.where(enter, u, psi_now), st[_Y])
+                st[_K1] = np.where(switch, np.where(enter, ku, st[_DPSI]), st[_K1])
+                in_u = in_u ^ switch
+                any_u = bool(in_u.any())
+
+            factor = 0.9 * np.float_power(err_norm, -0.2)
+            factor = np.where(factor >= 5.0, 5.0, np.where(factor > 0.2, factor, 0.2))
+            st[_H] = h * np.where(err_norm == 0.0, 5.0, factor)
+
+            # The exits, in the order integrate_from tests them.  A lane that
+            # stored a sample may have switched variable above, but only the
+            # pole exit, whose lane stored none, reads y and k1.
+            over = stored & (apsi >= threshold)
+            # Slack of a few ulp of 1.0: the landed gap is |endpoint - r|
+            # with r near +-1, so it carries that absolute rounding.
+            landed = stored & (np.abs(end - st[_R]) <= st[_SLACK])
+            ends = over | landed | (np.abs(st[_H]) < STEP_COLLAPSE)
+            if pole is not None:
+                ends |= pole
+            if not ends.any():
+                continue
+            for j in np.flatnonzero(ends).tolist():
+                col = st[:, j]
+                psi_j, r_j = float(col[_PSI]), float(col[_R])
+                if pole is not None and pole[j]:
+                    loc = _locate_pole(n1, R, k, float(col[_SIGN]), r_j, float(col[_Y]),
+                                       float(col[_K1]), float(x[4, j]), float(y7[j]),
+                                       float(k7[j]))
+                    finish(col, blowup(col[_SIGN] > 0.0, loc))
+                elif over[j]:
+                    finish(col, blowup(psi_j > 0.0, r_j))
+                elif landed[j]:
+                    finish(col, TerminationEvent(
+                        kind=REGULAR_ENDPOINT, location=float(end[j]),
+                        endpoint_vprime=psi_j / (k * math.sqrt(1.0 - r_j * r_j))))
+                else:  # the step collapsed
+                    slope = abs(psi_j) / (k * math.sqrt(max(1.0 - r_j * r_j, 1e-300)))
+                    if slope > BLOWUP_SOFT and abs(psi_j) >= float(col[_PREV]):
+                        finish(col, blowup(psi_j > 0.0, r_j))
+                    else:
+                        finish(col, TerminationEvent(kind=BUDGET_EXHAUSTED, location=r_j))
+            keep = ~ends
+            st, in_u = st[:, keep], in_u[keep]
+            any_u = bool(in_u.any())
+    for j in range(st.shape[1]):
+        finish(st[:, j], TerminationEvent(kind=BUDGET_EXHAUSTED, location=float(st[_R, j])))
+
+    samples = np.concatenate(chunks, axis=1)
+    lane = samples[0].astype(np.intp)
+    samples = samples[1:, np.argsort(lane, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane, minlength=n_lanes))]).tolist()
+    return [
+        HalfTrace(params=p, seed=seed, direction=direction,
+                  r=samples[0, lo:hi], psi=samples[1, lo:hi], dpsi=samples[2, lo:hi],
+                  event=events[i], stats=stats[i])
+        for i, ((seed, direction), lo, hi) in enumerate(zip(lanes, bounds, bounds[1:]))
+    ]
+
+
 def _singular(r: float) -> ValueError:
     return ValueError(f"slope equation singular at |r| >= 1, got r={r}")
 
@@ -622,9 +870,13 @@ def maximal_trace(
     trapezoid quadrature, gauged to v = 0 at the seed) the profile itself
     are attached, and zero / guide-curve crossings are located.
     """
-    left = integrate_from(p, seed, -1, cfg)
-    right = integrate_from(p, seed, +1, cfg)
+    return _assemble(p, seed, cfg, integrate_from(p, seed, -1, cfg),
+                     integrate_from(p, seed, +1, cfg))
 
+
+def _assemble(p: SolitonParams, seed: PhasePoint, cfg: IntegratorConfig,
+              left: HalfTrace, right: HalfTrace) -> Trace:
+    """The :class:`Trace` of ``maximal_trace`` from its two directed runs."""
     r = np.concatenate([left.r[::-1][:-1], right.r])
     psi = np.concatenate([left.psi[::-1][:-1], right.psi])
     dpsi = np.concatenate([left.dpsi[::-1][:-1], right.dpsi])

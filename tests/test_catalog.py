@@ -25,6 +25,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 make_params(k, 4, 1, 1)
 
+    @pytest.mark.parametrize("fields", [(2.0, 3, 1, 1), (True, 2, True, True),
+                                        (2, 3, True, True)])
+    def test_non_int_fields_rejected(self, fields):
+        with pytest.raises(ValueError):
+            make_params(*fields)
+
+    def test_dict_with_integral_floats_loads(self):
+        k = params_to_dict(params_from_dict({"k": 2.0, "n": 3.0, "m1": 1.0, "m2": 1.0}))["k"]
+        assert (k, type(k)) == (2, int)
+
     def test_equal_multiplicity_enforced(self):
         for k in (1, 3, 6):
             with pytest.raises(ValueError, match="equal multiplicities"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from isosoliton import classifier
+from isosoliton import classifier, integrator
 from isosoliton import (
     BLOWUP_MINUS,
     BLOWUP_PLUS,
@@ -288,7 +288,7 @@ class TestSweep:
             sweep(P12, [PhasePoint(0.0, 0.0)], cfg=CFG, workers=workers)
 
     # (workers asked, seeds, usable CPUs, pool size or None for serial);
-    # a chunk is 8 seeds
+    # the pool gets at most one worker per 8 seeds
     @pytest.mark.parametrize("workers, n_seeds, cpus, pool", [
         (64, 17, 2, 2),      # clamped to the CPUs
         (64, 9, 8, 2),       # clamped to one worker per chunk
@@ -301,7 +301,9 @@ class TestSweep:
         monkeypatch.setattr(classifier.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         seeds = grid_seeds((-0.6, 0.6), (-3.0, 3.0), n_seeds, 1)
         res = sweep(P12, seeds, cfg=CFG, workers=workers)
-        assert fake_pool == ([] if pool is None else [pool])
+        assert fake_pool.sizes == ([] if pool is None else [pool])
+        if pool is not None:  # the blocks arrive in seed order
+            assert [s for block in fake_pool.blocks for s in block] == seeds
         assert [e.seed for e in res.entries] == seeds
         assert sum(res.histogram.values()) == n_seeds
 
@@ -311,3 +313,91 @@ class TestSweep:
         assert d["n_seeds"] == 4
         assert set(d) == {"params", "n_seeds", "histogram", "unlisted", "errors", "types"}
         assert len(d["types"]) == 4
+
+
+def _per_seed(p, seeds, cfg=CFG):
+    return tuple(classifier._sweep_one((p, s, cfg, classifier.DEFAULT_CROSSING_TOL))
+                 for s in seeds)
+
+
+def _lockstep_sizes(monkeypatch):
+    """Record the lane count of every lockstep the sweep runs."""
+    sizes = []
+    lockstep = classifier._integrate_lanes
+
+    def recording(p, lanes, cfg):
+        sizes.append(len(lanes))
+        return lockstep(p, lanes, cfg)
+
+    monkeypatch.setattr(classifier, "_integrate_lanes", recording)
+    return sizes
+
+
+class TestSweepBlocks:
+    """A block of at least LOCKSTEP_MIN_SEEDS seeds integrates in lockstep, a
+    smaller one seed by seed, with the same entries either way."""
+
+    SEEDS = grid_seeds((-0.8, 0.8), (-4.0, 4.0), 16, 8)  # 2 * LOCKSTEP_MIN_SEEDS
+
+    def test_pooled_lockstep_matches_per_seed(self):
+        res = sweep(P12, self.SEEDS, cfg=CFG, workers=2)
+        assert res.entries == _per_seed(P12, self.SEEDS)
+
+    def test_pool_tasks_are_lockstep_blocks(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(classifier.os, "sched_getaffinity", lambda pid: {0, 1})
+        sizes = _lockstep_sizes(monkeypatch)
+        res = sweep(P12, self.SEEDS, cfg=CFG, workers=2)
+        n = classifier.LOCKSTEP_MIN_SEEDS
+        assert fake_pool.sizes == [2]
+        assert fake_pool.blocks == [self.SEEDS[:n], self.SEEDS[n:]]
+        assert sizes == [2 * n, 2 * n]
+        assert res.entries == _per_seed(P12, self.SEEDS)
+
+    def test_block_size_selects_path(self, monkeypatch):
+        n = classifier.LOCKSTEP_MIN_SEEDS
+        integrate = integrator.integrate_from
+
+        def never(*args):
+            raise AssertionError("a lockstep block ran integrate_from")
+
+        monkeypatch.setattr(integrator, "integrate_from", never)
+        big = sweep(P12, self.SEEDS[:n], cfg=CFG)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(integrator, "integrate_from", counting)
+        small = sweep(P12, self.SEEDS[:n - 1], cfg=CFG)
+        assert len(calls) == 2 * (n - 1)
+        assert big.entries[:n - 1] == small.entries
+
+    def test_lockstep_failure_reruns_the_block_per_seed(self, monkeypatch):
+        """A pole bisection that fails in some lanes fails the lockstep; the
+        block then reruns seed by seed, and each failure lands on its seed."""
+        locate = integrator._locate_pole
+
+        def failing(n1, R, k, sign, r0, *rest):
+            if r0 > 0.3:
+                raise ValueError("injected pole failure")
+            return locate(n1, R, k, sign, r0, *rest)
+
+        monkeypatch.setattr(integrator, "_locate_pole", failing)
+        sizes = _lockstep_sizes(monkeypatch)
+        res = sweep(P12, self.SEEDS, cfg=CFG)
+        assert sizes == [len(self.SEEDS) * 2]
+        assert res.entries == _per_seed(P12, self.SEEDS)
+        assert 0 < len(res.errors) < len(self.SEEDS)
+        assert {msg for _, msg in res.errors} == {"ValueError: injected pole failure"}
+
+    def test_no_lockstep_above_the_cap(self, monkeypatch):
+        cap = classifier.LOCKSTEP_MAX_SEEDS
+        seeds = grid_seeds((-0.6, 0.6), (-3.0, 3.0), cap // 16 + 1, 16)
+        sizes = _lockstep_sizes(monkeypatch)
+        res = sweep(P12, seeds, cfg=CFG)
+        assert len(seeds) > cap
+        assert sum(sizes) == 2 * len(seeds)
+        assert len(sizes) == 2 and max(sizes) <= 2 * cap
+        assert [e.seed for e in res.entries] == seeds
+        assert not res.errors

@@ -188,7 +188,7 @@ class TestSweep:
         code, _ = run_cli(["sweep", "--k", "1", "--n", "2", "--grid", "5x5",
                            "--workers", "64"], tmp_path, capsys)
         assert code == EXIT_OK
-        assert fake_pool == [3]
+        assert fake_pool.sizes == [3]
 
 
 class TestVerify:
@@ -459,7 +459,25 @@ GOLDEN_ARTIFACTS = [(tail, GALLERY_DIGESTS[name]) for name, tail in GALLERY_RUNS
 ]
 
 
+# sha256 of sweep.json, recorded with CPython 3.11.7 and numpy 2.4.6 on
+# x86-64 Linux while sweeps still integrated seed by seed: the 443-seed k=2
+# grid now runs as one lockstep block in process, and the k=1 grid as one
+# lockstep block per worker (or one in process on a single CPU).
+SWEEP_DIGESTS = [
+    (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--with-endpoints"],
+     "c82faddf2bc9ca40e06b42c1b72e9cadbff3c29987abda0e4f59ed1ac11cef3d"),
+    (["--k", "1", "--n", "2", "--with-endpoints", "--workers", "2"],
+     "5b887d3622e0956b33f1e1806a556a79636e97f4c7c3f6b475d8ea9f96816c21"),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv, digest", SWEEP_DIGESTS)
+    def test_sweep_json_matches_recorded_digest(self, tmp_path, capsys, argv, digest):
+        code, _ = run_cli(["sweep", *argv], tmp_path, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256((tmp_path / "sweep.json").read_bytes()).hexdigest() == digest
+
     def test_byte_identical_artifacts(self, tmp_path):
         """Identical flags must give identical bytes, subprocess to subprocess."""
         cmd = [sys.executable, "-m", "isosoliton.cli", "trace",

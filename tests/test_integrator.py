@@ -35,7 +35,7 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
-from isosoliton.integrator import U_ENTER, _dp5_psi, _dp5_u
+from isosoliton.integrator import U_ENTER, _dp5_psi, _dp5_u, _integrate_lanes
 from isosoliton.phase import u_rhs
 from oracles import euler_walk, rk4_walk, self_convergence, trace_deviation
 
@@ -528,3 +528,76 @@ class TestFusedKernels:
         seed and the k=4 n=8 collapse-exit seed, as the tableau walk gave."""
         tr = maximal_trace(p, seed, CFG)
         assert (repr(tr.left_event), repr(tr.right_event), repr(tr.step_stats)) == want
+
+
+def _half_fields(half):
+    """Everything a HalfTrace holds: sample bytes, and the event and stats
+    fields with their types (a numpy scalar would show in the repr too)."""
+    return (half.seed, half.direction,
+            half.r.dtype, half.r.tobytes(), half.psi.tobytes(), half.dpsi.tobytes(),
+            [(v, type(v)) for v in dataclasses.astuple(half.event)],
+            [(v, type(v)) for v in dataclasses.astuple(half.stats)])
+
+
+def _lockstep_matches(p, seeds, cfg):
+    """Assert the lockstep equals integrate_from lane by lane; the scalar
+    halves, for checks of what the inputs reach."""
+    lanes = [(s, d) for s in seeds for d in (-1, 1)]
+    want = [integrate_from(p, s, d, cfg) for s, d in lanes]
+    got = _integrate_lanes(p, lanes, cfg)
+    assert len(got) == len(want)
+    for lane, g, w in zip(lanes, got, want):
+        assert _half_fields(g) == _half_fields(w), lane
+    return want
+
+
+# seeds above U_ENTER that fall back below U_LEAVE, so the walk leaves u
+U_LEAVING = [PhasePoint(-0.5, 200.0), PhasePoint(0.5, -200.0), PhasePoint(-0.3, 1e4)]
+# within ENDPOINT_TOL of +1: the right run ends before its first step
+AT_FOCAL = PhasePoint(1.0 - 2.0**-44, 0.5)
+K4N8 = make_params(4, 8, 4, 3)
+
+
+class TestLockstep:
+    """``_integrate_lanes`` is ``integrate_from`` for many lanes at once, bit
+    for bit, whatever exit each lane takes."""
+
+    @pytest.mark.parametrize("p", [P12, P23], ids=["k1n2", "k2n3"])
+    def test_criterion_6_grids(self, p):
+        seeds = grid_seeds() + [endpoint_seed(p, -1, CFG.epsilon),
+                                endpoint_seed(p, +1, CFG.epsilon)] + U_LEAVING + [AT_FOCAL]
+        halves = _lockstep_matches(p, seeds, CFG)
+        kinds = {h.event.kind for h in halves}
+        assert kinds == {BLOWUP_MINUS, BLOWUP_PLUS, REGULAR_ENDPOINT}
+        assert halves[-1].stats.accepted == 0  # AT_FOCAL, rightward
+
+    def test_budget_exits(self):
+        cfg = IntegratorConfig(max_steps=150)
+        halves = _lockstep_matches(P12, grid_seeds() + U_LEAVING, cfg)
+        assert sum(h.event.kind == BUDGET_EXHAUSTED for h in halves) > 800
+
+    def test_threshold_exits(self):
+        cfg = IntegratorConfig(blowup_threshold=50.0)
+        halves = _lockstep_matches(P23, grid_seeds(), cfg)
+        blowups = [h for h in halves if h.event.kind != REGULAR_ENDPOINT]
+        # below U_ENTER every blow-up is the threshold exit, at the last sample
+        assert blowups and all(h.event.location == h.r[-1] for h in blowups)
+
+    def test_step_collapse_exits(self):
+        """The k=1 n=11 endpoint seed and a k=4 n=8 seed end by step collapse
+        (see TestFusedKernels.test_pinned_runs), among grid lanes."""
+        p11 = make_params(1, 11, 10, 10)
+        for p, seed in ((p11, endpoint_seed(p11, -1, 1e-6)),
+                        (K4N8, PhasePoint(-0.35456322457985834, -7.011799937538605))):
+            halves = _lockstep_matches(p, [seed] + K2N3_SUBGRID, CFG)
+            assert min(halves[0].stats.min_step, halves[1].stats.min_step) < 1e-13
+
+    def test_lanes_that_accept_no_step(self):
+        """Every attempt rejected: the budget exit sits at the seed."""
+        cfg = IntegratorConfig(tol=1e-300, max_steps=3)
+        halves = _lockstep_matches(P12, [PhasePoint(0.0, 0.0), PhasePoint(0.5, 1.0)], cfg)
+        assert all(h.stats.accepted == 0 and h.event.kind == BUDGET_EXHAUSTED for h in halves)
+
+    def test_bad_direction_raises(self):
+        with pytest.raises(ValueError, match="direction"):
+            _integrate_lanes(P12, [(PhasePoint(0.0, 0.0), 1), (PhasePoint(0.0, 0.0), 0)], CFG)
