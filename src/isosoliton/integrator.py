@@ -29,24 +29,27 @@ coarse seed.  Covering a fixed fraction of the initial gap instead (stop at
 ``ENDPOINT_COVER`` of it) makes the measured endpoint derivative converge
 linearly in epsilon, which downstream extrapolation then cancels.
 
-The stepping kernels ``_dp5_psi`` and ``_dp5_u`` are the Dormand-Prince
-stages unrolled with the right-hand side inlined: they repeat the
-floating-point operations of ``phase.psi_rhs`` and ``phase.u_rhs`` in the
-same order, so a step is bit for bit the tableau walked over those
-functions, which stay the reference (the tests hold the kernels to it).
+The stepping kernel ``_dp5`` is the Dormand-Prince stages unrolled with
+the right-hand side inlined; ``in_u`` picks, stage by stage, the line of
+``phase.psi_rhs`` or of ``phase.u_rhs``.  Each line repeats the
+floating-point operations of its function in the same order, so a step is
+bit for bit the tableau walked over it, and those functions stay the
+reference (the tests hold the kernel to it).
 
 ``_integrate_lanes`` is the lockstep walk a large sweep block runs: it
 advances many (seed, direction) lanes at once, one attempted step of every
 running lane per iteration, with numpy arrays in place of the scalar loop
 of :func:`integrate_from`.  Its contract is that every lane's HalfTrace is
 byte for byte the one ``integrate_from`` returns.  So each stage repeats the
-floating-point operations of ``_dp5_psi`` and ``_dp5_u`` in the same order
-(elementwise IEEE arithmetic and sqrt round as Python's do); min and max are
-``np.where`` on the scalar code's comparison, never ``np.minimum`` or
-``np.maximum``; and the step factor ``err_norm ** -0.2`` is
-``np.float_power``, which matches Python's ``**``, where ``np.power`` may
-take a SIMD path that differs in the last bit.  Single traces keep the
-scalar walk, which is also the lockstep's reference in the tests.
+floating-point operations of ``_dp5`` in the same order (elementwise IEEE
+arithmetic and sqrt round as Python's do); min and max are ``np.where`` on
+the scalar code's comparison, never ``np.minimum`` or ``np.maximum``; and
+the step factor ``err_norm ** -0.2`` is ``np.float_power``, which matches
+Python's ``**``, where ``np.power`` may take a SIMD path that differs in the
+last bit.  The rules around the stepping are stated once, as functions both
+walks call: how a run starts (``_start``), the endpoint, blow-up and
+step-collapse events, and the step counts (``_step_stats``).  Single traces
+keep the scalar walk, which is also the lockstep's reference in the tests.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -
 _A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E2, _E3, _E4 = 71 / 57600, 0.0, -71 / 16695, 71 / 1920
 _E5, _E6, _E7 = -17253 / 339200, 22 / 525, -1 / 40
-# What a kernel returns once a stage leaves the finite range.
+# What the kernel returns once a stage leaves the finite range.
 _STAGE_OVERFLOW = (math.nan, math.inf, math.nan)
 
 
@@ -238,6 +241,58 @@ def endpoint_seed(p: SolitonParams, which: int, epsilon: float) -> PhasePoint:
     return PhasePoint(r=r0, psi=psi0)
 
 
+def _start(r: float, direction: int, max_step: float) -> tuple[float, float, float] | None:
+    """How a run from level ``r`` toward the focal level ``direction`` starts:
+    the stop radius, the bound on the landed gap and the first step, or None
+    when ``r`` is already within ``ENDPOINT_TOL`` of the focal level."""
+    if direction not in (-1, 1):
+        raise ValueError(f"direction must be -1 or +1, got {direction!r}")
+    endpoint = float(direction)
+    gap0 = abs(endpoint - r)
+    if gap0 <= ENDPOINT_TOL:
+        return None
+    relative_rule = gap0 <= ENDPOINT_START_WINDOW
+    stop_gap = max(ENDPOINT_TOL, ENDPOINT_COVER * gap0 if relative_rule else 0.0)
+    # Landing exactly on the stop radius keeps the endpoint-derivative
+    # measurement a smooth function of the seeding offset, which the
+    # extrapolation in the endpoint-law checks relies on.  The slack of a
+    # few ulp of 1.0 on the landed gap is the absolute rounding of
+    # |endpoint - r| with r near +-1.
+    r_stop = endpoint - direction * stop_gap
+    return r_stop, stop_gap + 1e-15, direction * min(max_step, 0.25 * gap0, 1e-3)
+
+
+def _endpoint_event(k: float, endpoint: float, r: float, psi: float) -> TerminationEvent:
+    """RegularEndpoint at ``endpoint``, with V' measured at the sample (r, psi)."""
+    return TerminationEvent(kind=REGULAR_ENDPOINT, location=endpoint,
+                            endpoint_vprime=psi / (k * math.sqrt(1.0 - r * r)))
+
+
+def _blowup_event(positive: bool, location: float) -> TerminationEvent:
+    return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
+                            location=location)
+
+
+def _collapse_event(k: float, r: float, psi: float, prev_abs_psi: float) -> TerminationEvent:
+    """The exit of a run whose step collapsed at the sample (r, psi).
+
+    The trigger is the graph slope, not psi: a pole sitting close to r = +-1
+    collapses the step while psi is still moderate, but psi / (k sqrt(1-r^2))
+    is already enormous there.
+    """
+    slope = abs(psi) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
+    if slope > BLOWUP_SOFT and abs(psi) >= prev_abs_psi:
+        return _blowup_event(psi > 0.0, r)
+    return TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
+
+
+def _step_stats(accepted: int, rejected: int, hmin: float, hmax: float) -> StepStats:
+    """Step counts; the extreme |step| sizes read 0 for a run that accepted none."""
+    return StepStats(accepted=accepted, rejected=rejected,
+                     min_step=hmin if accepted else 0.0,
+                     max_step=hmax if accepted else 0.0)
+
+
 def integrate_from(
     p: SolitonParams,
     seed: PhasePoint,
@@ -250,10 +305,7 @@ def integrate_from(
     ``U_ENTER``, left below ``U_LEAVE``); samples are always stored as
     (r, psi, psi').
     """
-    if direction not in (-1, 1):
-        raise ValueError(f"direction must be -1 or +1, got {direction!r}")
-
-    # as floats: the kernels then multiply float by float, the same values
+    # as floats: the kernel then multiplies float by float, the same values
     # as int by float without CPython's mixed-type path
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
@@ -263,133 +315,94 @@ def integrate_from(
 
     r, y = seed.r, seed.psi
     psi = y
-    gap0 = abs(endpoint - r)
-    relative_rule = gap0 <= ENDPOINT_START_WINDOW
-    stop_gap = max(ENDPOINT_TOL, ENDPOINT_COVER * gap0 if relative_rule else 0.0)
-    # Landing exactly on the stop radius keeps the endpoint-derivative
-    # measurement a smooth function of the seeding offset, which the
-    # extrapolation in the endpoint-law checks relies on.
-    r_stop = endpoint - direction * stop_gap
-
-    rs = [r]
-    ys = [y]
+    start = _start(r, direction, max_step)
     k1 = psi_rhs(p, r, y)
-    ds = [k1]
+    rs, ys, ds = [r], [y], [k1]
+    accepted = rejected = 0
+    hmin_seen, hmax_seen = math.inf, 0.0
 
-    def finish(event: TerminationEvent, accepted: int, rejected: int,
-               hmin: float, hmax: float) -> HalfTrace:
-        stats = StepStats(accepted=accepted, rejected=rejected,
-                          min_step=hmin if accepted else 0.0,
-                          max_step=hmax if accepted else 0.0)
-        return HalfTrace(
-            params=p, seed=seed, direction=direction,
-            r=np.asarray(rs), psi=np.asarray(ys), dpsi=np.asarray(ds),
-            event=event, stats=stats,
-        )
+    if start is None:
+        event = _endpoint_event(k, endpoint, r, psi)
+    else:
+        r_stop, slack, h = start
+        prev_abs_psi = abs(psi)
+        # min/max are spelled as comparisons that pick the same operand.
+        for _attempt in range(cfg.max_steps):
+            hcap = 0.5 * abs(endpoint - r)
+            if not hcap < max_step:
+                hcap = max_step
+            if abs(h) > hcap:
+                h = endpoint * hcap
+            if (r + h - r_stop) * endpoint >= 0.0:
+                h = r_stop - r
 
-    def endpoint_event() -> TerminationEvent:
-        vp = ys[-1] / (k * math.sqrt(1.0 - rs[-1] * rs[-1]))
-        return TerminationEvent(kind=REGULAR_ENDPOINT, location=endpoint,
-                                endpoint_vprime=vp)
-
-    def blowup_event(positive: bool, location: float) -> TerminationEvent:
-        return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
-                                location=location)
-
-    if gap0 <= ENDPOINT_TOL:
-        return finish(endpoint_event(), 0, 0, 0.0, 0.0)
-
-    accepted = 0
-    rejected = 0
-    hmin_seen = math.inf
-    hmax_seen = 0.0
-    prev_abs_psi = abs(psi)
-    h = direction * min(max_step, 0.25 * gap0, 1e-3)
-
-    # min/max are spelled as comparisons that pick the same operand.
-    for _attempt in range(cfg.max_steps):
-        hcap = 0.5 * abs(endpoint - r)
-        if not hcap < max_step:
-            hcap = max_step
-        if abs(h) > hcap:
-            h = endpoint * hcap
-        if (r + h - r_stop) * endpoint >= 0.0:
-            h = r_stop - r
-
-        if in_u:
-            y_new, err, d_new = _dp5_u(n1, R, k, sign, r, y, k1, h)
-        else:
-            y_new, err, d_new = _dp5_psi(n1, R, k, r, y, k1, h)
-        if math.isfinite(y_new) and math.isfinite(err):
-            scale = abs(y_new)
-            if not scale > abs(y):
-                scale = abs(y)
-            err_norm = abs(err) / (tol * (1.0 + scale))
-        else:
-            err_norm = math.inf
-
-        if err_norm <= 1.0:
-            r_new = r + h
-            accepted += 1
-            ah = abs(h)
-            if ah < hmin_seen:
-                hmin_seen = ah
-            if ah > hmax_seen:
-                hmax_seen = ah
-            if in_u and y_new <= 0.0:  # the step crossed the pole
-                pole = _locate_pole(n1, R, k, sign, r, y, k1, r_new, y_new, d_new)
-                return finish(blowup_event(sign > 0.0, pole),
-                              accepted, rejected, hmin_seen, hmax_seen)
-            prev_abs_psi = abs(psi)
-            r, y, k1 = r_new, y_new, d_new
-            if in_u:
-                psi = sign / math.sqrt(y)
-                w = 1.0 - r * r  # positive: the step's last stage sat at r
-                dpsi = (psi * psi + 1.0) * (n1 * (r - R) * psi + math.sqrt(w)) / (k * w)
+            y_new, err, d_new = _dp5(n1, R, k, sign, in_u, r, y, k1, h)
+            if math.isfinite(y_new) and math.isfinite(err):
+                scale = abs(y_new)
+                if not scale > abs(y):
+                    scale = abs(y)
+                err_norm = abs(err) / (tol * (1.0 + scale))
             else:
-                psi, dpsi = y, k1
-            rs.append(r)
-            ys.append(psi)
-            ds.append(dpsi)
+                err_norm = math.inf
 
-            if abs(psi) >= threshold:
-                return finish(blowup_event(psi > 0.0, r),
-                              accepted, rejected, hmin_seen, hmax_seen)
-            # Slack of a few ulp of 1.0: the landed gap is |endpoint - r|
-            # with r near +-1, so it carries that absolute rounding.
-            if abs(endpoint - r) <= stop_gap + 1e-15:
-                return finish(endpoint_event(), accepted, rejected, hmin_seen, hmax_seen)
+            if err_norm <= 1.0:
+                r_new = r + h
+                accepted += 1
+                ah = abs(h)
+                if ah < hmin_seen:
+                    hmin_seen = ah
+                if ah > hmax_seen:
+                    hmax_seen = ah
+                if in_u and y_new <= 0.0:  # the step crossed the pole
+                    pole = _locate_pole(n1, R, k, sign, r, y, k1, r_new, y_new, d_new)
+                    event = _blowup_event(sign > 0.0, pole)
+                    break
+                prev_abs_psi = abs(psi)
+                r, y, k1 = r_new, y_new, d_new
+                if in_u:
+                    psi = sign / math.sqrt(y)
+                    dpsi = psi_rhs(p, r, psi)
+                else:
+                    psi, dpsi = y, k1
+                rs.append(r)
+                ys.append(psi)
+                ds.append(dpsi)
 
-            if not in_u and abs(psi) > U_ENTER:
-                in_u = True
-                sign = math.copysign(1.0, psi)
-                y = 1.0 / (psi * psi)
-                k1 = u_rhs(p, r, y, sign)
-            elif in_u and abs(psi) < U_LEAVE:
-                in_u = False
-                y, k1 = psi, dpsi
+                if abs(psi) >= threshold:
+                    event = _blowup_event(psi > 0.0, r)
+                    break
+                if abs(endpoint - r) <= slack:
+                    event = _endpoint_event(k, endpoint, r, psi)
+                    break
+
+                if not in_u and abs(psi) > U_ENTER:
+                    in_u = True
+                    sign = math.copysign(1.0, psi)
+                    y = 1.0 / (psi * psi)
+                    k1 = u_rhs(p, r, y, sign)
+                elif in_u and abs(psi) < U_LEAVE:
+                    in_u = False
+                    y, k1 = psi, dpsi
+            else:
+                rejected += 1
+
+            if err_norm == 0.0:
+                h *= 5.0
+            else:
+                factor = 0.9 * err_norm ** -0.2
+                h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
+
+            if abs(h) < STEP_COLLAPSE:
+                event = _collapse_event(k, r, psi, prev_abs_psi)
+                break
         else:
-            rejected += 1
-
-        if err_norm == 0.0:
-            h *= 5.0
-        else:
-            factor = 0.9 * err_norm ** -0.2
-            h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
-
-        if abs(h) < STEP_COLLAPSE:
-            # Trigger on the graph slope, not on psi: a pole sitting close
-            # to r = +-1 collapses the step while psi is still moderate,
-            # but psi / (k sqrt(1-r^2)) is already enormous there.
-            slope = abs(psi) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
-            if slope > BLOWUP_SOFT and abs(psi) >= prev_abs_psi:
-                return finish(blowup_event(psi > 0.0, r),
-                              accepted, rejected, hmin_seen, hmax_seen)
             event = TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
-            return finish(event, accepted, rejected, hmin_seen, hmax_seen)
 
-    event = TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
-    return finish(event, accepted, rejected, hmin_seen, hmax_seen)
+    return HalfTrace(
+        params=p, seed=seed, direction=direction,
+        r=np.asarray(rs), psi=np.asarray(ys), dpsi=np.asarray(ds),
+        event=event, stats=_step_stats(accepted, rejected, hmin_seen, hmax_seen),
+    )
 
 
 # The Dormand-Prince nodes of stages 2 to 6 (stage 7 shares the last) as a
@@ -422,13 +435,10 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
 
     Every iteration takes one attempt of every running lane; a lane leaves
     the working arrays when its scalar run would have returned.  Pole
-    location and the step-collapse exit run the scalar code on their lane.
-    Any exception (a stage at |r| >= 1, a pole bisection without a sign
-    change) is raised for the whole call, so a caller can fall back to
-    ``integrate_from`` per lane.  The identity takes float seed coordinates,
-    which ``grid_seeds`` and ``endpoint_seed`` give: a lane that accepts no
-    step keeps an int seed coordinate an int in ``integrate_from``, and
-    makes it a float here.
+    location and the exits run the scalar code on their lane.  Any exception
+    (a stage at |r| >= 1, a pole bisection without a sign change) is raised
+    for the whole call, so a caller can fall back to ``integrate_from`` per
+    lane.
     """
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
@@ -438,36 +448,23 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
     first = np.empty((4, n_lanes))
     columns = []
     for i, (seed, direction) in enumerate(lanes):
-        if direction not in (-1, 1):
-            raise ValueError(f"direction must be -1 or +1, got {direction!r}")
-        endpoint = float(direction)
         r, y = seed.r, seed.psi
+        start = _start(r, direction, max_step)
         k1 = psi_rhs(p, r, y)
         first[:, i] = (i, r, y, k1)
-        gap0 = abs(endpoint - r)
-        if gap0 <= ENDPOINT_TOL:
-            events[i] = TerminationEvent(kind=REGULAR_ENDPOINT, location=endpoint,
-                                         endpoint_vprime=y / (k * math.sqrt(1.0 - r * r)))
-            stats[i] = StepStats(accepted=0, rejected=0, min_step=0.0, max_step=0.0)
+        if start is None:
+            events[i] = _endpoint_event(k, float(direction), r, y)
+            stats[i] = _step_stats(0, 0, 0.0, 0.0)
             continue
-        relative_rule = gap0 <= ENDPOINT_START_WINDOW
-        stop_gap = max(ENDPOINT_TOL, ENDPOINT_COVER * gap0 if relative_rule else 0.0)
-        r_stop = endpoint - direction * stop_gap
-        h = direction * min(max_step, 0.25 * gap0, 1e-3)
-        columns.append((i, r, y, k1, y, k1, h, abs(y), endpoint, r_stop,
-                        stop_gap + 1e-15, 1.0, 0.0, 0.0, math.inf, 0.0))
+        r_stop, slack, h = start
+        columns.append((i, r, y, k1, y, k1, h, abs(y), float(direction), r_stop, slack,
+                        1.0, 0.0, 0.0, math.inf, 0.0))
 
     def finish(col: np.ndarray, event: TerminationEvent) -> None:
         i = int(col[_LANE])
-        accepted = int(col[_ACC])
         events[i] = event
-        stats[i] = StepStats(accepted=accepted, rejected=int(col[_REJ]),
-                             min_step=float(col[_HMIN]) if accepted else 0.0,
-                             max_step=float(col[_HMAX]) if accepted else 0.0)
-
-    def blowup(positive: bool, location: float) -> TerminationEvent:
-        return TerminationEvent(kind=BLOWUP_PLUS if positive else BLOWUP_MINUS,
-                                location=location)
+        stats[i] = _step_stats(int(col[_ACC]), int(col[_REJ]),
+                               float(col[_HMIN]), float(col[_HMAX]))
 
     chunks = [first]
     st = np.array(columns, dtype=float).reshape(len(columns), 16).T.copy()
@@ -581,8 +578,6 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             # stored a sample may have switched variable above, but only the
             # pole exit, whose lane stored none, reads y and k1.
             over = stored & (apsi >= threshold)
-            # Slack of a few ulp of 1.0: the landed gap is |endpoint - r|
-            # with r near +-1, so it carries that absolute rounding.
             landed = stored & (np.abs(end - st[_R]) <= st[_SLACK])
             ends = over | landed | (np.abs(st[_H]) < STEP_COLLAPSE)
             if pole is not None:
@@ -596,19 +591,13 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
                     loc = _locate_pole(n1, R, k, float(col[_SIGN]), r_j, float(col[_Y]),
                                        float(col[_K1]), float(x[4, j]), float(y7[j]),
                                        float(k7[j]))
-                    finish(col, blowup(col[_SIGN] > 0.0, loc))
+                    finish(col, _blowup_event(col[_SIGN] > 0.0, loc))
                 elif over[j]:
-                    finish(col, blowup(psi_j > 0.0, r_j))
+                    finish(col, _blowup_event(psi_j > 0.0, r_j))
                 elif landed[j]:
-                    finish(col, TerminationEvent(
-                        kind=REGULAR_ENDPOINT, location=float(end[j]),
-                        endpoint_vprime=psi_j / (k * math.sqrt(1.0 - r_j * r_j))))
+                    finish(col, _endpoint_event(k, float(end[j]), r_j, psi_j))
                 else:  # the step collapsed
-                    slope = abs(psi_j) / (k * math.sqrt(max(1.0 - r_j * r_j, 1e-300)))
-                    if slope > BLOWUP_SOFT and abs(psi_j) >= float(col[_PREV]):
-                        finish(col, blowup(psi_j > 0.0, r_j))
-                    else:
-                        finish(col, TerminationEvent(kind=BUDGET_EXHAUSTED, location=r_j))
+                    finish(col, _collapse_event(k, r_j, psi_j, float(col[_PREV])))
             keep = ~ends
             st, in_u = st[:, keep], in_u[keep]
             any_u = bool(in_u.any())
@@ -631,16 +620,17 @@ def _singular(r: float) -> ValueError:
     return ValueError(f"slope equation singular at |r| >= 1, got r={r}")
 
 
-def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
-             h: float) -> tuple[float, float, float]:
-    """One Dormand-Prince 5(4) step of psi' = F(r, psi) from (r, y), y' = k1.
+def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: float,
+         k1: float, h: float) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step from (r, y), y' = k1.
 
-    ``n1`` is n - 1.  F is ``phase.psi_rhs`` inlined with the same
-    floating-point operations in the same order, so the step is bit for bit
-    the tableau walked over ``psi_rhs``.  Returns the fifth-order value at
-    r + h, the embedded error estimate and the derivative there (first same
-    as last: the seventh stage sits at (r + h, y_new)).  The value is NaN
-    when a stage left the finite range.
+    ``n1`` is n - 1.  The step carries psi, with ``phase.psi_rhs`` inlined,
+    or with ``in_u`` u = 1/psi^2 on the branch sgn psi = ``sign``, with
+    ``phase.u_rhs`` inlined, its clamp of u at zero included.  ``sign`` is
+    read only with ``in_u``.  Returns the fifth-order value at r + h, the
+    embedded error estimate and the derivative there (first same as last:
+    the seventh stage sits at (r + h, y_new)).  The value is NaN when a
+    stage left the finite range.
     """
     y2 = y + h * _A21 * k1
     if not math.isfinite(y2):
@@ -649,7 +639,11 @@ def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    k2 = (y2 * y2 + 1.0) * (n1 * (x - R) * y2 + math.sqrt(w)) / (k * w)
+    if in_u:
+        su = math.sqrt(0.0 if y2 < 0.0 else y2)
+        k2 = -2.0 * (1.0 + y2) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+    else:
+        k2 = (y2 * y2 + 1.0) * (n1 * (x - R) * y2 + math.sqrt(w)) / (k * w)
 
     y3 = y + h * _A31 * k1 + h * _A32 * k2
     if not math.isfinite(y3):
@@ -658,7 +652,11 @@ def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    k3 = (y3 * y3 + 1.0) * (n1 * (x - R) * y3 + math.sqrt(w)) / (k * w)
+    if in_u:
+        su = math.sqrt(0.0 if y3 < 0.0 else y3)
+        k3 = -2.0 * (1.0 + y3) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+    else:
+        k3 = (y3 * y3 + 1.0) * (n1 * (x - R) * y3 + math.sqrt(w)) / (k * w)
 
     y4 = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
     if not math.isfinite(y4):
@@ -667,7 +665,11 @@ def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    k4 = (y4 * y4 + 1.0) * (n1 * (x - R) * y4 + math.sqrt(w)) / (k * w)
+    if in_u:
+        su = math.sqrt(0.0 if y4 < 0.0 else y4)
+        k4 = -2.0 * (1.0 + y4) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+    else:
+        k4 = (y4 * y4 + 1.0) * (n1 * (x - R) * y4 + math.sqrt(w)) / (k * w)
 
     y5 = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
     if not math.isfinite(y5):
@@ -676,7 +678,11 @@ def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    k5 = (y5 * y5 + 1.0) * (n1 * (x - R) * y5 + math.sqrt(w)) / (k * w)
+    if in_u:
+        su = math.sqrt(0.0 if y5 < 0.0 else y5)
+        k5 = -2.0 * (1.0 + y5) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
+    else:
+        k5 = (y5 * y5 + 1.0) * (n1 * (x - R) * y5 + math.sqrt(w)) / (k * w)
 
     y6 = y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5
     if not math.isfinite(y6):
@@ -685,88 +691,26 @@ def _dp5_psi(n1: float, R: float, k: float, r: float, y: float, k1: float,
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
+    # stages 6 and 7 share the node r + h
     a = n1 * (x - R)
     sq = math.sqrt(w)
     kw = k * w
-    k6 = (y6 * y6 + 1.0) * (a * y6 + sq) / kw
+    if in_u:
+        ssq = sign * sq
+        su = math.sqrt(0.0 if y6 < 0.0 else y6)
+        k6 = -2.0 * (1.0 + y6) * (a + ssq * su) / kw
+    else:
+        k6 = (y6 * y6 + 1.0) * (a * y6 + sq) / kw
 
     y7 = (y + h * _A71 * k1 + h * _A72 * k2 + h * _A73 * k3 + h * _A74 * k4
           + h * _A75 * k5 + h * _A76 * k6)
     if not math.isfinite(y7):
         return _STAGE_OVERFLOW
-    k7 = (y7 * y7 + 1.0) * (a * y7 + sq) / kw
-
-    err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
-           + _E6 * k6 + _E7 * k7)
-    return y7, err * h, k7
-
-
-def _dp5_u(n1: float, R: float, k: float, sign: float, r: float, y: float,
-           k1: float, h: float) -> tuple[float, float, float]:
-    """:func:`_dp5_psi` for u = 1/psi^2 on the branch sgn psi = ``sign``.
-
-    The right-hand side is ``phase.u_rhs`` inlined, its clamp of u at zero
-    included; the returns are those of :func:`_dp5_psi`.
-    """
-    y2 = y + h * _A21 * k1
-    if not math.isfinite(y2):
-        return _STAGE_OVERFLOW
-    x = r + _C2 * h
-    w = 1.0 - x * x
-    if w <= 0.0:
-        raise _singular(x)
-    su = math.sqrt(0.0 if y2 < 0.0 else y2)
-    k2 = -2.0 * (1.0 + y2) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-
-    y3 = y + h * _A31 * k1 + h * _A32 * k2
-    if not math.isfinite(y3):
-        return _STAGE_OVERFLOW
-    x = r + _C3 * h
-    w = 1.0 - x * x
-    if w <= 0.0:
-        raise _singular(x)
-    su = math.sqrt(0.0 if y3 < 0.0 else y3)
-    k3 = -2.0 * (1.0 + y3) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-
-    y4 = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
-    if not math.isfinite(y4):
-        return _STAGE_OVERFLOW
-    x = r + _C4 * h
-    w = 1.0 - x * x
-    if w <= 0.0:
-        raise _singular(x)
-    su = math.sqrt(0.0 if y4 < 0.0 else y4)
-    k4 = -2.0 * (1.0 + y4) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-
-    y5 = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
-    if not math.isfinite(y5):
-        return _STAGE_OVERFLOW
-    x = r + _C5 * h
-    w = 1.0 - x * x
-    if w <= 0.0:
-        raise _singular(x)
-    su = math.sqrt(0.0 if y5 < 0.0 else y5)
-    k5 = -2.0 * (1.0 + y5) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-
-    y6 = y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5
-    if not math.isfinite(y6):
-        return _STAGE_OVERFLOW
-    x = r + h
-    w = 1.0 - x * x
-    if w <= 0.0:
-        raise _singular(x)
-    a = n1 * (x - R)
-    ssq = sign * math.sqrt(w)
-    kw = k * w
-    su = math.sqrt(0.0 if y6 < 0.0 else y6)
-    k6 = -2.0 * (1.0 + y6) * (a + ssq * su) / kw
-
-    y7 = (y + h * _A71 * k1 + h * _A72 * k2 + h * _A73 * k3 + h * _A74 * k4
-          + h * _A75 * k5 + h * _A76 * k6)
-    if not math.isfinite(y7):
-        return _STAGE_OVERFLOW
-    su = math.sqrt(0.0 if y7 < 0.0 else y7)
-    k7 = -2.0 * (1.0 + y7) * (a + ssq * su) / kw
+    if in_u:
+        su = math.sqrt(0.0 if y7 < 0.0 else y7)
+        k7 = -2.0 * (1.0 + y7) * (a + ssq * su) / kw
+    else:
+        k7 = (y7 * y7 + 1.0) * (a * y7 + sq) / kw
 
     err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
            + _E6 * k6 + _E7 * k7)
@@ -785,7 +729,7 @@ def _locate_pole(n1: float, R: float, k: float, sign: float, r0: float, u0: floa
     lo, hi = min(r0, r1), max(r0, r1)
     x = _bisect(lambda t: _hermite_eval(r0, r1, u0, u1, d0, d1, t), lo, hi, tol=ROOT_TOL)
     for _ in range(POLE_NEWTON_ITERS):
-        u, _err, du = _dp5_u(n1, R, k, sign, r0, u0, d0, x - r0)
+        u, _err, du = _dp5(n1, R, k, sign, True, r0, u0, d0, x - r0)
         if not (math.isfinite(u) and du != 0.0):
             break
         x_next = min(hi, max(lo, x - u / du))

@@ -51,6 +51,10 @@ class PhasePoint:
             raise ValueError(f"phase point needs |r| < 1, got r={self.r}")
         if not math.isfinite(self.psi):
             raise ValueError(f"phase point needs finite psi, got {self.psi}")
+        # Python floats, whatever number type came in: a numpy float32 would
+        # run the walk in float32, and a bool would print as one.
+        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "psi", float(self.psi))
 
 
 def psi_rhs(p: SolitonParams, r: float, psi: float) -> float:

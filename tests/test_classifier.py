@@ -1,6 +1,7 @@
 """Shape taxonomy: the seven listed types, the fallback, domain statements."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -251,6 +252,13 @@ class TestSweep:
         for a, b in zip(serial.entries, parallel.entries):
             assert a.seed == b.seed
             assert shape_to_dict(a.shape) == shape_to_dict(b.shape)
+
+    def test_float32_seed_sweep_is_json(self):
+        """A numpy float32 seed sweeps like its float value, into JSON."""
+        r, psi = np.float32(0.1), np.float32(0.2)
+        got = sweep_to_dict(sweep(P12, [PhasePoint(r, psi)], cfg=CFG))
+        want = sweep_to_dict(sweep(P12, [PhasePoint(float(r), float(psi))], cfg=CFG))
+        assert json.dumps(got) == json.dumps(want)
 
     def test_numeric_failure_is_per_seed_data(self, monkeypatch):
         def fail(p, seed, cfg):

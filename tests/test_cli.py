@@ -14,7 +14,9 @@ import pytest
 from isosoliton import _svg, classifier, cli
 from isosoliton.cli import EXIT_NUMERIC, EXIT_OK, EXIT_UNLISTED, EXIT_USAGE, main
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+SRC = ROOT / "src"
 
 
 def run_cli(args, tmp_path, capsys):
@@ -485,7 +487,8 @@ class TestDeterminism:
                "--svg"]
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
-            r = subprocess.run(cmd + ["--out", str(d)], capture_output=True)
+            r = subprocess.run(cmd + ["--out", str(d)], capture_output=True,
+                               env={**os.environ, "PYTHONPATH": str(SRC)})
             assert r.returncode == 0, r.stderr.decode()
         for name in ("trace.csv", "trace.json", "psi.svg", "vprime.svg", "v.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name

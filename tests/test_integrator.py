@@ -35,7 +35,7 @@ from isosoliton import (
     trace_to_csv,
     trace_to_json,
 )
-from isosoliton.integrator import U_ENTER, _dp5_psi, _dp5_u, _integrate_lanes
+from isosoliton.integrator import U_ENTER, _dp5, _integrate_lanes
 from isosoliton.phase import u_rhs
 from oracles import euler_walk, rk4_walk, self_convergence, trace_deviation
 
@@ -363,6 +363,19 @@ class TestSerialization:
         kinds = {c["kind"] for c in d["crossings"]}
         assert CROSSING_ZERO in kinds
 
+    def test_float32_seed_runs_in_float64(self):
+        """A numpy float32 seed walks as its float value would, not in
+        float32, and its envelope is JSON."""
+        r, psi = np.float32(0.1), np.float32(0.2)
+        tr = maximal_trace(P12, PhasePoint(r, psi), CFG)
+        ref = maximal_trace(P12, PhasePoint(float(r), float(psi)), CFG)
+        assert tr.r.dtype == np.float64 and tr.psi.tobytes() == ref.psi.tobytes()
+        assert json.dumps(trace_to_json(tr)) == json.dumps(trace_to_json(ref))
+
+    def test_bool_seed_is_written_as_floats(self):
+        tr = maximal_trace(P12, PhasePoint(False, True), CFG)
+        assert json.dumps(trace_to_json(tr)["seed"]) == '{"r": 0.0, "psi": 1.0}'
+
     def test_json_cfg_is_the_settable_config(self):
         cfg = IntegratorConfig(tol=1e-9, max_step=0.02)
         tr = maximal_trace(P12, PhasePoint(0.0, 0.0), cfg)
@@ -431,26 +444,15 @@ _h = st.floats(min_value=-0.01, max_value=0.01).filter(lambda h: h != 0.0)
 _sign = st.sampled_from([-1.0, 1.0])
 
 
-def _psi_pair(p, r, y, h):
-    """(kernel, reference) outcome of one psi step: the values, or the error."""
-    args = (float(p.n - 1), p.R, float(p.k))
+def _kernel_pair(p, sign, in_u, r, y, h):
+    """(kernel, reference) outcome of one step, of u = 1/psi^2 with ``in_u``
+    and of psi without: the values, or the error."""
+    def rhs(x, v):
+        return u_rhs(p, x, v, sign) if in_u else psi_rhs(p, x, v)
+    args = (float(p.n - 1), p.R, float(p.k), sign, in_u)
     out = []
-    for step in (lambda: _dp5_psi(*args, r, y, psi_rhs(p, r, y), h),
-                 lambda: _ref_dp5_step(lambda x, v: psi_rhs(p, x, v), r, y,
-                                       psi_rhs(p, r, y), h)):
-        try:
-            out.append(_bits(step()))
-        except ValueError as exc:
-            out.append(str(exc))
-    return out
-
-
-def _u_pair(p, sign, r, u, h):
-    args = (float(p.n - 1), p.R, float(p.k), sign)
-    out = []
-    for step in (lambda: _dp5_u(*args, r, u, u_rhs(p, r, u, sign), h),
-                 lambda: _ref_dp5_step(lambda x, v: u_rhs(p, x, v, sign), r, u,
-                                       u_rhs(p, r, u, sign), h)):
+    for step in (lambda: _dp5(*args, r, y, rhs(r, y), h),
+                 lambda: _ref_dp5_step(rhs, r, y, rhs(r, y), h)):
         try:
             out.append(_bits(step()))
         except ValueError as exc:
@@ -459,20 +461,29 @@ def _u_pair(p, sign, r, u, h):
 
 
 class TestFusedKernels:
-    """``_dp5_psi``/``_dp5_u`` inline the right-hand sides of phase.py into
-    the Dormand-Prince stages; every output must equal the tableau walk."""
+    """``_dp5`` inlines the right-hand sides of phase.py into the
+    Dormand-Prince stages; every output must equal the tableau walk."""
 
     @given(_params, _r, st.floats(min_value=-1e3, max_value=1e3), _h)
     @settings(max_examples=400, deadline=None)
     def test_psi_kernel_is_the_tableau_walk(self, p, r, psi, h):
-        fused, ref = _psi_pair(p, r, psi, h)
+        fused, ref = _kernel_pair(p, 1.0, False, r, psi, h)
         assert fused == ref
 
     @given(_params, _sign, _r, st.floats(min_value=-1e-4, max_value=1e-4), _h)
     @settings(max_examples=400, deadline=None)
     def test_u_kernel_is_the_tableau_walk(self, p, sign, r, u, h):
-        fused, ref = _u_pair(p, sign, r, u, h)
+        fused, ref = _kernel_pair(p, sign, True, r, u, h)
         assert fused == ref
+
+    @given(_params, _r, st.floats(min_value=-1e3, max_value=1e3), _h)
+    @settings(max_examples=400, deadline=None)
+    def test_psi_step_ignores_sign(self, p, r, psi, h):
+        """Without ``in_u`` the branch sign is not read: both signs give the
+        same bits, the error included."""
+        plus, _ = _kernel_pair(p, 1.0, False, r, psi, h)
+        minus, _ = _kernel_pair(p, -1.0, False, r, psi, h)
+        assert plus == minus
 
     @given(_params, _r, st.floats(min_value=-1e3, max_value=1e3),
            st.floats(min_value=1e-6, max_value=0.01), _sign)
@@ -485,18 +496,19 @@ class TestFusedKernels:
 
     @pytest.mark.parametrize("psi", [1e200, -1e200, 1e155])
     def test_stage_overflow_exits_with_nan(self, psi):
-        fused, ref = _psi_pair(P23, 0.5, psi, 1e-3)
+        fused, ref = _kernel_pair(P23, 1.0, False, 0.5, psi, 1e-3)
         assert fused == ref
         assert fused == _bits((math.nan, math.inf, math.nan))
 
     def test_u_stage_overflow_exits_with_nan(self):
-        fused, ref = _u_pair(P23, 1.0, 0.5, 1e300, -1e-3)
+        fused, ref = _kernel_pair(P23, 1.0, True, 0.5, 1e300, -1e-3)
         assert fused == ref
         assert fused == _bits((math.nan, math.inf, math.nan))
 
     @pytest.mark.parametrize("r, h", [(0.999, 0.01), (-0.999, -0.01), (0.995, 0.005)])
     def test_stage_past_focal_level_raises(self, r, h):
-        for fused, ref in (_psi_pair(P23, r, 1.0, h), _u_pair(P23, -1.0, r, 1e-5, h)):
+        for fused, ref in (_kernel_pair(P23, 1.0, False, r, 1.0, h),
+                           _kernel_pair(P23, -1.0, True, r, 1e-5, h)):
             assert fused == ref
             assert fused.startswith("slope equation singular at |r| >= 1")
 
@@ -553,8 +565,10 @@ def _lockstep_matches(p, seeds, cfg):
 
 # seeds above U_ENTER that fall back below U_LEAVE, so the walk leaves u
 U_LEAVING = [PhasePoint(-0.5, 200.0), PhasePoint(0.5, -200.0), PhasePoint(-0.3, 1e4)]
-# within ENDPOINT_TOL of +1: the right run ends before its first step
+# within ENDPOINT_TOL of +1 and of -1: the run toward it ends before its
+# first step
 AT_FOCAL = PhasePoint(1.0 - 2.0**-44, 0.5)
+AT_FOCAL_LEFT = PhasePoint(-1.0 + 2.0**-44, -0.5)
 K4N8 = make_params(4, 8, 4, 3)
 
 
@@ -565,11 +579,14 @@ class TestLockstep:
     @pytest.mark.parametrize("p", [P12, P23], ids=["k1n2", "k2n3"])
     def test_criterion_6_grids(self, p):
         seeds = grid_seeds() + [endpoint_seed(p, -1, CFG.epsilon),
-                                endpoint_seed(p, +1, CFG.epsilon)] + U_LEAVING + [AT_FOCAL]
+                                endpoint_seed(p, +1, CFG.epsilon)] + U_LEAVING \
+            + [AT_FOCAL, AT_FOCAL_LEFT]
         halves = _lockstep_matches(p, seeds, CFG)
         kinds = {h.event.kind for h in halves}
         assert kinds == {BLOWUP_MINUS, BLOWUP_PLUS, REGULAR_ENDPOINT}
-        assert halves[-1].stats.accepted == 0  # AT_FOCAL, rightward
+        # AT_FOCAL rightward, AT_FOCAL_LEFT leftward
+        for half in (halves[-3], halves[-2]):
+            assert half.stats.accepted == 0 and half.event.kind == REGULAR_ENDPOINT
 
     def test_budget_exits(self):
         cfg = IntegratorConfig(max_steps=150)
@@ -593,9 +610,11 @@ class TestLockstep:
             assert min(halves[0].stats.min_step, halves[1].stats.min_step) < 1e-13
 
     def test_lanes_that_accept_no_step(self):
-        """Every attempt rejected: the budget exit sits at the seed."""
+        """Every attempt rejected: the budget exit sits at the seed, a float
+        (and the samples float64) for an int seed too."""
         cfg = IntegratorConfig(tol=1e-300, max_steps=3)
-        halves = _lockstep_matches(P12, [PhasePoint(0.0, 0.0), PhasePoint(0.5, 1.0)], cfg)
+        seeds = [PhasePoint(0.0, 0.0), PhasePoint(0.5, 1.0), PhasePoint(0, 2)]
+        halves = _lockstep_matches(P12, seeds, cfg)
         assert all(h.stats.accepted == 0 and h.event.kind == BUDGET_EXHAUSTED for h in halves)
 
     def test_bad_direction_raises(self):

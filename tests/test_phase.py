@@ -327,6 +327,13 @@ class TestPhasePoint:
         with pytest.raises(ValueError):
             PhasePoint(0.0, math.inf)
 
+    @pytest.mark.parametrize("r, psi", [(np.float32(0.1), np.float32(0.2)), (False, True),
+                                        (0, -3), (np.float64(-0.5), np.int64(7))])
+    def test_coordinates_are_python_floats(self, r, psi):
+        pt = PhasePoint(r, psi)
+        assert (type(pt.r), type(pt.psi)) == (float, float)
+        assert (pt.r, pt.psi) == (float(r), float(psi))
+
     def test_frozen(self):
         pt = PhasePoint(0.1, 0.2)
         with pytest.raises(AttributeError):
