@@ -277,30 +277,21 @@ def trace_figures(
     params_note = f"k={p.k} n={p.n} m1={p.m1} m2={p.m2} R={p.R:g}"
     vlines = [("r=R", p.R)] if "R-line" in cfg.overlays and xlim[0] < p.R < xlim[1] else []
 
+    # key, title, y label, samples, y range and guide (overlay, label, color, sampler)
+    rows = [
+        ("psi", "psi(r)", "psi", trace.psi, _slope_ylim(trace.psi, cfg.ymax),
+         ("eta", "eta guide", _ETA, _eta_samples)),
+        ("vprime", "V'(r)", "V'", trace.vprime, _slope_ylim(trace.vprime, cfg.ymax),
+         ("zeta", "zeta guide", _ZETA, _zeta_samples)),
+        ("v", "V(r)", "V", trace.v, _height_ylim(trace.v), None),
+    ]
     figs: dict[str, str] = {}
-
-    ylim = _slope_ylim(trace.psi, cfg.ymax)
-    curves = [("trace", _CURVE, trace.r, trace.psi, None)]
-    if "eta" in cfg.overlays:
-        curves.append(("eta guide", _ETA, *_guide(_eta_samples, p, xlim)))
-    figs["psi"] = render_plot(
-        "psi(r)", "r", "psi", curves, vlines,
-        [params_note, f"type {shape_labels['psi']}"], xlim, ylim,
-    )
-
-    ylim = _slope_ylim(trace.vprime, cfg.ymax)
-    curves = [("trace", _CURVE, trace.r, trace.vprime, None)]
-    if "zeta" in cfg.overlays:
-        curves.append(("zeta guide", _ZETA, *_guide(_zeta_samples, p, xlim)))
-    figs["vprime"] = render_plot(
-        "V'(r)", "r", "V'", curves, vlines,
-        [params_note, f"type {shape_labels['vprime']}"], xlim, ylim,
-    )
-
-    ylim = _height_ylim(trace.v)
-    curves = [("trace", _CURVE, trace.r, trace.v, None)]
-    figs["v"] = render_plot(
-        "V(r)", "r", "V", curves, vlines,
-        [params_note, f"type {shape_labels['v']}"], xlim, ylim,
-    )
+    for key, title, ylabel, y, ylim, guide in rows:
+        curves = [("trace", _CURVE, trace.r, y, None)]
+        if guide is not None:
+            overlay, label, color, samples = guide
+            if overlay in cfg.overlays:
+                curves.append((label, color, *_guide(samples, p, xlim)))
+        figs[key] = render_plot(title, "r", ylabel, curves, vlines,
+                                [params_note, f"type {shape_labels[key]}"], xlim, ylim)
     return figs

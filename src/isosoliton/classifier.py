@@ -194,14 +194,8 @@ def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:
         raise ValueError(f"domain statements are available for k in {{1, 2, 3}}, got k={p.k}")
     if shape.is_unlisted:
         raise ValueError("no domain statement for an Unlisted shape")
-    idx = V_TYPES.index(shape.v_type)
     minus = shape.v_type == "VI"
     plus = shape.v_type == "VII"
-
-    left_loc = right_loc = None
-    if shape.evidence is not None:
-        left_loc = shape.evidence.left_event.location
-        right_loc = shape.evidence.right_event.location
 
     if p.k == 1:
         desc = {
@@ -211,28 +205,25 @@ def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:
             "q": "south pole, level r = -1",
         }
     elif p.k == 2:
-        # Colatitude decreases with the level, so the r-interval endpoints
-        # swap roles: theta_lo comes from the right event.
-        if idx <= 4:  # I..V: open interval between the two blow-up levels
-            theta_lo = theta_of_level(right_loc) if right_loc is not None else None
-            theta_hi = theta_of_level(left_loc) if left_loc is not None else None
-            closed_lo = closed_hi = False
-        elif minus:  # VI: reaches the theta = pi/2 focal variety
-            theta_lo = theta_of_level(right_loc) if right_loc is not None else None
-            theta_hi = 0.5 * math.pi
-            closed_lo, closed_hi = False, True
-        else:  # VII: reaches the theta = 0 focal variety
-            theta_lo = 0.0
-            theta_hi = theta_of_level(left_loc) if left_loc is not None else None
-            closed_lo, closed_hi = True, False
+        # The band between the end levels, closed at a focal level reached
+        # regularly.  Colatitude decreases with the level, so theta_lo comes
+        # from the right end.
+        left = right = None
+        if shape.evidence is not None:
+            left = shape.evidence.left_event.location
+            right = shape.evidence.right_event.location
+        if minus:
+            left = -1.0
+        if plus:
+            right = 1.0
         desc = {
-            "theta_lo": theta_lo,
-            "theta_hi": theta_hi,
-            "closed_lo": closed_lo,
-            "closed_hi": closed_hi,
+            "theta_lo": None if right is None else theta_of_level(right),
+            "theta_hi": None if left is None else theta_of_level(left),
+            "closed_lo": plus,
+            "closed_hi": minus,
         }
     else:
-        principal_only = idx <= 4
+        principal_only = not (minus or plus)
         if principal_only:
             statement = (
                 "domain is a union of principal leaves over an open interval "

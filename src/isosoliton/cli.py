@@ -33,8 +33,6 @@ from . import _svg
 from .catalog import SolitonParams, make_params, params_to_dict
 from .classifier import (
     DEFAULT_CROSSING_TOL,
-    LOCKSTEP_MAX_SEEDS,
-    LOCKSTEP_MIN_SEEDS,
     NUMERIC_FAILURES,
     ROMANS,
     check_crossing_tol,
@@ -74,8 +72,6 @@ EXIT_NUMERIC = 3
 EXIT_UNLISTED = 4
 
 OUT_ENV = "ISOSOLITON_OUT"
-
-VERIFY_CHECKS = ("grim-reaper", "identities", "ode-residual", "endpoint-law")
 
 _T = TypeVar("_T")
 
@@ -133,9 +129,10 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_params_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--k", type=int, required=True, help="degree of the foliation, one of 1,2,3,4,6")
-    ap.add_argument("--n", type=int, required=True, help="dimension of the sphere")
+def _add_params_flags(ap: argparse.ArgumentParser, required: bool = True) -> None:
+    ap.add_argument("--k", type=int, required=required,
+                    help="degree of the foliation, one of 1,2,3,4,6")
+    ap.add_argument("--n", type=int, required=required, default=2, help="dimension of the sphere")
     ap.add_argument("--m", type=int, default=None,
                     help="single multiplicity for k in {1,3,6}; defaults to n-1 when k=1")
     ap.add_argument("--m1", type=int, default=None, help="first multiplicity (k in {2,4})")
@@ -164,6 +161,8 @@ def _add_out_flag(ap: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> SolitonParams:
+    if args.k is None:  # only verify leaves --k optional
+        ap.error(f"--check {args.check} requires --k/--n")
     m, m1, m2 = args.m, args.m1, args.m2
     if m is not None and (m1 is not None or m2 is not None):
         ap.error("--m conflicts with --m1/--m2")
@@ -327,7 +326,7 @@ def cmd_sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_grim_reaper(args: argparse.Namespace) -> tuple[dict, bool]:
+def _check_grim_reaper(ap: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[dict, bool]:
     rng = np.random.default_rng(args.rng_seed)
     pts = rng.uniform(-1.2, 1.2, size=(args.points, 2))
     rep = soliton_residual(GraphSample(AMBIENT_EUCLIDEAN, pts, grim_reaper))
@@ -389,15 +388,16 @@ def _check_endpoint_law(ap: argparse.ArgumentParser, args: argparse.Namespace) -
             "endpoints": devs, "tol": tol}, ok
 
 
+VERIFY_CHECKS = {
+    "grim-reaper": _check_grim_reaper,
+    "identities": _check_identities,
+    "ode-residual": _check_ode_residual,
+    "endpoint-law": _check_endpoint_law,
+}
+
+
 def cmd_verify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.check == "grim-reaper":
-        payload, ok = _check_grim_reaper(args)
-    elif args.check == "identities":
-        payload, ok = _check_identities(ap, args)
-    elif args.check == "ode-residual":
-        payload, ok = _check_ode_residual(ap, args)
-    else:
-        payload, ok = _check_endpoint_law(ap, args)
+    payload, ok = VERIFY_CHECKS[args.check](ap, args)
     payload["pass"] = ok
     path = _write(args.out, "verify.json", _json_text(payload))
     print(f"{'PASS' if ok else 'FAIL'}; wrote {path}")
@@ -491,10 +491,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="add the two endpoint-seeded runs")
     s.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at least 1; clamped to the usable CPUs "
-                        "and to one per 8 seeds.  Seeds run in blocks of at most "
-                        f"{LOCKSTEP_MAX_SEEDS}, and of at most ceil(seeds / workers) "
-                        f"with a pool; a block of {LOCKSTEP_MIN_SEEDS} seeds or more "
-                        "integrates in lockstep, with the same results")
+                        "and to one per 8 seeds")
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
     s.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)
@@ -507,12 +504,8 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--family", choices=("k1", "k2"), default="k1",
                    help="identities: which foliation family")
     v.add_argument("--l", type=int, default=None, help="identities: k2 split index")
-    # params flags are optional here; only some checks use them
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--m", type=int, default=None)
-    v.add_argument("--m1", type=int, default=None)
-    v.add_argument("--m2", type=int, default=None)
+    # optional here: ode-residual and endpoint-law need --k, identities reads --n
+    _add_params_flags(v, required=False)
     _add_out_flag(v)
     v.set_defaults(func=cmd_verify)
 
@@ -532,8 +525,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    if args.command == "verify" and args.check in ("ode-residual", "endpoint-law") and args.k is None:
-        ap.error(f"--check {args.check} requires --k/--n")
     _check_out(ap, args)
     try:
         return args.func(ap, args)

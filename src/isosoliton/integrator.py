@@ -27,7 +27,8 @@ integrating toward the endpoint amplifies the O(epsilon) seeding error like
 a power of (epsilon/gap), so a fixed absolute gap is unreachable from a
 coarse seed.  Covering a fixed fraction of the initial gap instead (stop at
 ``ENDPOINT_COVER`` of it) makes the measured endpoint derivative converge
-linearly in epsilon, which downstream extrapolation then cancels.
+linearly in epsilon, which ``endpoint_vprime_extrapolated`` then cancels
+by extrapolating from the offsets ``ENDPOINT_OFFSETS``.
 
 The stepping kernel ``_dp5`` is the Dormand-Prince stages unrolled with
 the right-hand side inlined; ``in_u`` picks, stage by stage, the line of
@@ -47,9 +48,10 @@ the scalar code's comparison, never ``np.minimum`` or ``np.maximum``; and
 the step factor ``err_norm ** -0.2`` is ``np.float_power``, which matches
 Python's ``**``, where ``np.power`` may take a SIMD path that differs in the
 last bit.  The rules around the stepping are stated once, as functions both
-walks call: how a run starts (``_start``), the endpoint, blow-up and
-step-collapse events, and the step counts (``_step_stats``).  Single traces
-keep the scalar walk, which is also the lockstep's reference in the tests.
+walks call: how a run starts (``_start``), each exit (``_endpoint_event``,
+``_blowup_event``, ``_collapse_event`` and ``_budget_event``), and the step
+counts (``_step_stats``).  Single traces keep the scalar walk, which is also
+the lockstep's reference in the tests.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ ENDPOINT_COVER = 0.01
 # is above BLOWUP_SOFT and |psi| still growing, else BudgetExhausted.
 STEP_COLLAPSE = 1e-14
 BLOWUP_SOFT = 1e4
+# Seeding offsets that endpoint_vprime_extrapolated extrapolates to zero.
+ENDPOINT_OFFSETS = (1e-5, 1e-6, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+            # as in PhasePoint: a numpy float32 would run the walk in float32
+            object.__setattr__(self, name, float(value))
         if type(self.max_steps) is not int or self.max_steps < 1:
             raise ValueError(f"the step budget must be a positive int, got {self.max_steps!r}")
 
@@ -273,6 +279,11 @@ def _blowup_event(positive: bool, location: float) -> TerminationEvent:
                             location=location)
 
 
+def _budget_event(r: float) -> TerminationEvent:
+    """BudgetExhausted at the last accepted level ``r``."""
+    return TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
+
+
 def _collapse_event(k: float, r: float, psi: float, prev_abs_psi: float) -> TerminationEvent:
     """The exit of a run whose step collapsed at the sample (r, psi).
 
@@ -283,7 +294,7 @@ def _collapse_event(k: float, r: float, psi: float, prev_abs_psi: float) -> Term
     slope = abs(psi) / (k * math.sqrt(max(1.0 - r * r, 1e-300)))
     if slope > BLOWUP_SOFT and abs(psi) >= prev_abs_psi:
         return _blowup_event(psi > 0.0, r)
-    return TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
+    return _budget_event(r)
 
 
 def _step_stats(accepted: int, rejected: int, hmin: float, hmax: float) -> StepStats:
@@ -396,7 +407,7 @@ def integrate_from(
                 event = _collapse_event(k, r, psi, prev_abs_psi)
                 break
         else:
-            event = TerminationEvent(kind=BUDGET_EXHAUSTED, location=r)
+            event = _budget_event(r)
 
     return HalfTrace(
         params=p, seed=seed, direction=direction,
@@ -602,7 +613,7 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             st, in_u = st[:, keep], in_u[keep]
             any_u = bool(in_u.any())
     for j in range(st.shape[1]):
-        finish(st[:, j], TerminationEvent(kind=BUDGET_EXHAUSTED, location=float(st[_R, j])))
+        finish(st[:, j], _budget_event(float(st[_R, j])))
 
     samples = np.concatenate(chunks, axis=1)
     lane = samples[0].astype(np.intp)
@@ -870,28 +881,20 @@ def psi_at(trace: Trace, r: float | np.ndarray) -> float | np.ndarray:
     return float(val) if x.ndim == 0 else val
 
 
-def endpoint_vprime_extrapolated(
-    p: SolitonParams,
-    which: int,
-    cfg: IntegratorConfig | None = None,
-    epsilons: Sequence[float] = (1e-5, 1e-6, 1e-7),
-) -> float:
-    """Endpoint derivative measured by seeding at several offsets and
-    extrapolating to offset zero.
+def endpoint_vprime_extrapolated(p: SolitonParams, which: int) -> float:
+    """Endpoint derivative measured by seeding at the offsets
+    ``ENDPOINT_OFFSETS`` and extrapolating to offset zero.
 
     Each run covers the short side from the endpoint seed to the stop radius;
     the measured derivatives converge linearly in the offset, so polynomial
     extrapolation through (epsilon_i, measurement_i) at epsilon = 0 (Neville)
-    removes the offset error.  The default config tightens tol to 1e-12: the
+    removes the offset error.  The runs tighten tol to 1e-12: the
     measurement divides psi by sqrt(1 - r^2) ~ sqrt(epsilon), so the
     integration error is magnified as the offsets shrink.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(tol=1e-12)
-    if len(epsilons) < 2:
-        raise ValueError("need at least two offsets to extrapolate")
-    xs = list(epsilons)
-    ys = []
+    cfg = IntegratorConfig(tol=1e-12)
+    xs = ENDPOINT_OFFSETS
+    tab = []
     for eps in xs:
         seed = endpoint_seed(p, which, eps)
         half = integrate_from(p, seed, which, cfg)
@@ -899,9 +902,8 @@ def endpoint_vprime_extrapolated(
             raise RuntimeError(
                 f"endpoint run at epsilon={eps} terminated with {half.event.kind}"
             )
-        ys.append(half.event.endpoint_vprime)
+        tab.append(half.event.endpoint_vprime)
     # Neville tableau evaluated at 0.
-    tab = list(ys)
     m = len(xs)
     for level in range(1, m):
         for i in range(m - level):

@@ -17,9 +17,10 @@ whose sign structure is controlled by the guide curves
     zeta(r) = -1 / (k (n-1)(r - R))        (eta = k sqrt(1-r^2) zeta).
 
 This module provides the two right-hand sides, the guide curves, the sign
-trichotomy, and the comparison bounds that pin down where solutions blow up
-or stay bounded.  The bounds are closed-form antiderivatives lifted from the
-comparison arguments; tests re-derive them by quadrature.
+trichotomy (a tie within ``SIGN_TIE_TOL`` of eta), and the comparison
+bounds that pin down where solutions blow up or stay bounded.  The bounds
+are closed-form antiderivatives lifted from the comparison arguments; tests
+re-derive them by quadrature.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ import numpy as np
 from .catalog import SolitonParams, make_params
 
 BISECTION_TOL = 1e-12
+
+# Half-width of the band around eta in which sign_region reports a tie.
+SIGN_TIE_TOL = 1e-9
 
 # Distance from R inside which the sampled guide curves take their one-sided
 # limits: beyond it |eta|, |zeta| <= 1/|r - R| stay finite.
@@ -151,11 +155,11 @@ def _off_pole(p: SolitonParams, r: np.ndarray,
     return out
 
 
-def sign_region(p: SolitonParams, r: float, psi: float, eta_tol: float = 1e-9) -> str:
+def sign_region(p: SolitonParams, r: float, psi: float) -> str:
     """Sign of psi' at (r, psi) predicted by the trichotomy, without the RHS.
 
     Returns "+", "-", or "0" (the latter inside the eta-proximity tie band of
-    half-width ``eta_tol``).  The structure: psi' vanishes exactly on the
+    half-width ``SIGN_TIE_TOL``).  The structure: psi' vanishes exactly on the
     guide curve eta; above eta the sign is + for r > R and - for r < R,
     below eta the opposite; on the singular level r = R itself, and on the
     axis psi = 0, the derivative is strictly positive.
@@ -165,7 +169,7 @@ def sign_region(p: SolitonParams, r: float, psi: float, eta_tol: float = 1e-9) -
     if psi == 0.0 or r == p.R:
         return "+"
     e = eta(p, r)
-    if abs(psi - e) <= eta_tol:
+    if abs(psi - e) <= SIGN_TIE_TOL:
         return "0"
     if r > p.R:
         return "+" if psi > e else "-"

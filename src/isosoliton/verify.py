@@ -8,7 +8,8 @@ against routes that do not share code with the integrator:
 * the reduced profile ODE as a plain algebraic residual in (r, V', V'');
 * the defining identities of the two concrete isoparametric families
   (a linear height and a signed coordinate-split quadric), both as spherical
-  finite-difference checks and as exact ambient polynomial algebra.
+  finite-difference checks (step ``IDENTITY_FD_STEP``) and as exact ambient
+  polynomial algebra.
 
 Spherical derivatives are computed on the degree-0 homogeneous extension
 u~(y) = u(y/|y|).  On the unit sphere the extension's radial derivative
@@ -36,6 +37,9 @@ AMBIENT_SPHERE = "sphere"
 
 ISO_K1 = "K1"
 ISO_K2 = "K2"
+
+# Step of the spherical finite differences in isoparametric_identities.
+IDENTITY_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -269,12 +273,11 @@ def isoparametric_identities(
     f: IsoparametricFn,
     n_points: int = 1000,
     seed: int = 0,
-    fd_step: float = 1e-3,
 ) -> IdentityReport:
     """Check the defining identities of the family at random points.
 
-    Spherical route (4th-order finite differences on the degree-0 extension,
-    at random unit vectors):
+    Spherical route (4th-order finite differences of step
+    ``IDENTITY_FD_STEP`` on the degree-0 extension, at random unit vectors):
 
         |grad_S r|^2 = k^2 (1 - r^2),     Lap_S r = ((m2-m1)/2) k^2 - k(n+k-1) r.
 
@@ -288,7 +291,7 @@ def isoparametric_identities(
     k = f.k
     m1, m2 = f.multiplicities
     half_gap = 0.5 * (m2 - m1)
-    h = fd_step
+    h = IDENTITY_FD_STEP
 
     pts = rng.normal(size=(n_points, d))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -384,10 +387,13 @@ def graph_from_trace(
     :func:`soliton_residual` see no curvature kinks at sample boundaries.
     The returned u takes points with coordinates on axis 0, like
     :func:`iso_poly`, and raises ValueError if any point's level is outside
-    the integrated span (or NaN).  f must have the parameter set's k.
+    the integrated span (or NaN).  The trace must be a run of p, and f must
+    realize p: the same k, n and multiplicities (m1, m2).
     """
-    if f.k != p.k:
-        raise ValueError(f"family has k={f.k} but parameters have k={p.k}")
+    if trace.params != p:
+        raise ValueError("the trace was integrated for other parameters than p")
+    if (f.k, f.n, f.multiplicities) != (p.k, p.n, (p.m1, p.m2)):
+        raise ValueError(f"family {f} does not realize the parameters {p}")
     if len(trace.r) < 2:
         raise ValueError("a graph needs at least two samples")
     _, dvprime = _profile_slopes(p.k, trace.r, trace.psi, trace.dpsi)

@@ -212,10 +212,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS" in out
 
-    def test_endpoint_law_needs_params(self, tmp_path):
-        with pytest.raises(SystemExit) as e:
-            main(["verify", "--check", "endpoint-law"])
-        assert e.value.code == EXIT_USAGE
+    def test_endpoint_law_needs_params(self, tmp_path, capsys):
+        """So does ode-residual; the usage error comes before any output."""
+        out = tmp_path / "out"
+        for check in ("endpoint-law", "ode-residual"):
+            with pytest.raises(SystemExit) as e:
+                main(["verify", "--check", check, "--out", str(out)])
+            assert e.value.code == EXIT_USAGE
+            assert f"--check {check} requires --k/--n" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_endpoint_law(self, tmp_path, capsys):
         code, out = run_cli(
@@ -473,12 +478,55 @@ SWEEP_DIGESTS = [
 ]
 
 
+# sha256 of the classify, domain and verify reports, recorded with CPython
+# 3.11.7 and numpy 2.4.6 on x86-64 Linux before the domain statement and the
+# verify dispatch were each written as one rule.  Between them the domain
+# runs cover every k = 2 case: an interior type, VI and VII, with and
+# without n = 3.
+REPORT_DIGESTS = [
+    (["classify", "--k", "1", "--n", "2", "--seed-r", "-0.63", "--seed-psi", "0.5"],
+     "1e3180e747ee402c8b2b637b8fd7daeb324f9186d216469453528b29069f330e"),
+    (["classify", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"],
+     "15689edd0cd25f5197a19339fcfb8e415139f1c4d8f08079169776c664077127"),
+    (["classify", "--k", "3", "--n", "4", "--m", "1", "--seed-r", "0.2", "--seed-psi", "0.5"],
+     "ea659e8a55e0c6d9e39ac2e4f7641220369e2b1dee25f75c9f3ae58a6622cf7a"),
+    (["domain", "--k", "1", "--n", "2", "--type", "VI"],
+     "99c860fbcf0489a495779df7d6e8bdb526a79beb27be884fd421ccd6ca243728"),
+    (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--type", "VII"],
+     "5a847df339a9a151179c34b8e86eb01b01ab4a968d03d03b2c3f3780ec78503c"),
+    (["domain", "--k", "2", "--n", "4", "--m1", "2", "--m2", "1", "--type", "VI"],
+     "081053cd8d3070e4f8ff49e0d7ee419586e8e49757f72540cd3e313a44eae298"),
+    (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
+      "--seed-r", "-0.5", "--seed-psi", "0.3"],
+     "96ab854709a61d7ca910c45c883813a8f928fb1200375a0c0bd566073bc194ea"),
+    (["domain", "--k", "3", "--n", "4", "--m", "1", "--type", "VII"],
+     "1ba192a201277e4e56ed3015c5e8196ca9dfd707a3b4d81cd0d6f164555f7c96"),
+    (["verify", "--check", "grim-reaper", "--points", "200"],
+     "2e9ee93dad063875634169440ceffa6fe816c202e36b84212315ed67aacdea23"),
+    (["verify", "--check", "identities", "--family", "k2", "--n", "3", "--l", "2",
+      "--points", "200"],
+     "835ffc587d58dc28ad20e7320e239ac9eeda28a327753ec6c71111c5cdce8b66"),
+    (["verify", "--check", "ode-residual", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
+      "--points", "200"],
+     "9b5d88a91864d1e0c090aefbd4ed500be2629a14cabebdd5232b426ad4bda150"),
+    (["verify", "--check", "endpoint-law", "--k", "1", "--n", "2"],
+     "fba49c541b3bdedfc30f540129e45819be876c67dfc58d4df13a2774eef154a6"),
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv, digest", SWEEP_DIGESTS)
     def test_sweep_json_matches_recorded_digest(self, tmp_path, capsys, argv, digest):
         code, _ = run_cli(["sweep", *argv], tmp_path, capsys)
         assert code == EXIT_OK
         assert hashlib.sha256((tmp_path / "sweep.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+    def test_report_matches_recorded_digest(self, tmp_path, capsys, argv, digest):
+        code, _ = run_cli(argv, tmp_path, capsys)
+        assert code == EXIT_OK
+        report = tmp_path / f"{argv[0]}.json"
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_artifacts(self, tmp_path):
         """Identical flags must give identical bytes, subprocess to subprocess."""

@@ -1,8 +1,10 @@
 """The runtime needs numpy alone: what src/ imports is what pyproject.toml
 declares, and scipy stays a test oracle.  The public surface is what the
-README and the demos import, and the test oracles stay out of src/."""
+README and the demos import, its parameters are pinned, and the test
+oracles stay out of src/."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -97,3 +99,78 @@ def test_public_surface():
         defined = {node.name for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert defined.isdisjoint(TEST_ONLY), path.name
+
+
+# The parameters of every public callable and dataclass, in order.  A change
+# that adds, drops or renames a knob of the public surface edits this table.
+PUBLIC_PARAMETERS = {
+    "Crossing": "kind r",
+    "DomainReport": "k v_type contains_focal_minus contains_focal_plus description",
+    "Evidence": "left_event right_event zero_crossings psi_min psi_max psi_at_R",
+    "GraphSample": "ambient points u fd_step",
+    "HalfTrace": "params seed direction r psi dpsi event stats",
+    "IdentityReport": ("grad_sphere_max_err lap_sphere_max_err grad_ambient_max_err "
+                       "lap_ambient_max_err n_points"),
+    "IntegratorConfig": "tol blowup_threshold max_steps epsilon max_step",
+    "IsoparametricFn": "kind n l",
+    "PhasePoint": "r psi",
+    "ResidualReport": "values",
+    "ShapeType": "psi_type vprime_type v_type zero_crossing evidence",
+    "SolitonParams": "k n m1 m2 R",
+    "StepStats": "accepted rejected min_step max_step",
+    "SweepEntry": "seed shape error",
+    "SweepResult": "params entries histogram unlisted errors",
+    "TerminationEvent": "kind location endpoint_vprime",
+    "Trace": "params seed cfg r psi dpsi vprime v left_event right_event crossings step_stats",
+    "alpha": "p r",
+    "beta": "p r",
+    "blowup_bound": "p r0 psi0 side",
+    "bound_h1": "p r0 psi0 r",
+    "bound_h2": "p r0 psi0 r",
+    "bound_h2hat": "p r0 psi0 r",
+    "bound_h3": "p r0 psi0 r",
+    "classification_report": "trace shape domain",
+    "classify": "trace tol",
+    "domain_report": "p shape",
+    "endpoint_seed": "p which epsilon",
+    "endpoint_vprime_extrapolated": "p which",
+    "endpoint_vprime_limit": "p which",
+    "eta": "p r",
+    "graph_from_trace": "p trace f",
+    "grid_seeds": "r_range psi_range nr npsi",
+    "grim_reaper": "x",
+    "integrate_from": "p seed direction cfg",
+    "iso_poly": "f x",
+    "iso_poly_grad": "f x",
+    "iso_poly_lap": "f x",
+    "isoparametric_identities": "f n_points seed",
+    "make_params": "k n m1 m2",
+    "maximal_trace": "p seed cfg",
+    "mirror_params": "p",
+    "ode_residual_at": "p r vprime vsecond",
+    "params_from_dict": "d",
+    "params_to_dict": "p",
+    "psi_at": "trace r",
+    "psi_rhs": "p r psi",
+    "sign_region": "p r psi",
+    "soliton_residual": "sample",
+    "sphere_points_in_band": "f t_lo t_hi n_points seed",
+    "sweep": "p seeds cfg tol workers",
+    "sweep_to_dict": "result",
+    "trace_to_csv": "trace stream",
+    "trace_to_json": "trace",
+    "type_correspondence": "psi_type",
+    "vprime_rhs": "p r vprime",
+    "zeta": "p r",
+}
+
+
+def test_public_parameters():
+    import isosoliton
+
+    got = {}
+    for name in isosoliton.__all__:
+        obj = getattr(isosoliton, name)
+        if callable(obj):
+            got[name] = " ".join(inspect.signature(obj).parameters)
+    assert got == PUBLIC_PARAMETERS

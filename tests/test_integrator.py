@@ -372,6 +372,20 @@ class TestSerialization:
         assert tr.r.dtype == np.float64 and tr.psi.tobytes() == ref.psi.tobytes()
         assert json.dumps(trace_to_json(tr)) == json.dumps(trace_to_json(ref))
 
+    @pytest.mark.parametrize("name", ["tol", "blowup_threshold", "epsilon", "max_step"])
+    def test_float32_config_runs_in_float64(self, name):
+        """A numpy float32 config value is stored as its float value: the walk
+        runs as with that float, and the envelope is JSON."""
+        value = np.float32(getattr(CFG, name))
+        cfg = dataclasses.replace(CFG, **{name: value})
+        ref = dataclasses.replace(CFG, **{name: float(value)})
+        assert type(getattr(cfg, name)) is float
+        tr = maximal_trace(P12, PhasePoint(0.1, 0.2), cfg)
+        expect = maximal_trace(P12, PhasePoint(0.1, 0.2), ref)
+        assert tr.step_stats == expect.step_stats and type(tr.step_stats.min_step) is float
+        assert tr.psi.tobytes() == expect.psi.tobytes()
+        assert json.dumps(trace_to_json(tr)) == json.dumps(trace_to_json(expect))
+
     def test_bool_seed_is_written_as_floats(self):
         tr = maximal_trace(P12, PhasePoint(False, True), CFG)
         assert json.dumps(trace_to_json(tr)["seed"]) == '{"r": 0.0, "psi": 1.0}'

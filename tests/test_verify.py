@@ -393,3 +393,27 @@ class TestGraphSpan:
             u(pts.T)
         with pytest.raises(ValueError, match=r"level r=nan outside"):
             u(pts[4])
+
+
+class TestGraphFamily:
+    """graph_from_trace lifts a trace only with the parameters it was run for
+    and a family with the same k, n and multiplicities."""
+
+    @staticmethod
+    def _type_vi_trace():
+        return maximal_trace(K2N3, endpoint_seed(K2N3, -1, 1e-6))
+
+    @pytest.mark.parametrize("f", [
+        IsoparametricFn(ISO_K2, 3, l=1),  # (m1, m2) = (2, 0)
+        IsoparametricFn(ISO_K2, 3, l=3),  # (m1, m2) = (0, 2)
+        IsoparametricFn(ISO_K2, 5, l=3),  # n = 5
+        IsoparametricFn(ISO_K1, 3),       # k = 1
+    ], ids=["l1", "l3", "n5", "k1"])
+    def test_family_must_match_the_parameters(self, f):
+        with pytest.raises(ValueError, match="does not realize"):
+            graph_from_trace(K2N3, self._type_vi_trace(), f)
+
+    def test_parameters_must_be_the_traces(self):
+        p = make_params(2, 4, 2, 1)
+        with pytest.raises(ValueError, match="other parameters"):
+            graph_from_trace(p, self._type_vi_trace(), IsoparametricFn(ISO_K2, 4, l=2))
