@@ -13,13 +13,13 @@ Every profile computation downstream is driven by the derived constant
     R = -1 + k m2 / (n - 1)   for k in {2, 4},      R = 0 otherwise,
 
 the unique interior level where the guide curves of the phase analysis blow
-up.  This module owns the validated parameter bundle and the two structure
-functions; everything else imports from here.
+up.  This module owns the validated parameter bundle, which computes R
+itself, and the two structure functions; everything else imports from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ADMISSIBLE_K = (1, 2, 3, 4, 6)
 
@@ -31,22 +31,7 @@ EQUAL_MULTIPLICITY_K = (1, 3, 6)
 class SolitonParams:
     """Validated parameter bundle (k, n, m1, m2) with the derived level R.
 
-    Instances should be built through :func:`make_params`, which enforces the
-    admissibility constraints; the dataclass itself stores already-checked
-    values and is hashable so parameter sets can key caches and test tables.
-    """
-
-    k: int
-    n: int
-    m1: int
-    m2: int
-    R: float
-
-
-def make_params(k: int, n: int, m1: int, m2: int) -> SolitonParams:
-    """Validate a multiplicity tuple and attach the derived constant R.
-
-    Constraints enforced:
+    Constraints enforced on construction:
 
     * k in {1, 2, 3, 4, 6} and ambient dimension n >= 2;
     * k in {1, 3, 6}: m1 == m2 >= 1 (single multiplicity) and R = 0;
@@ -58,36 +43,45 @@ def make_params(k: int, n: int, m1: int, m2: int) -> SolitonParams:
     Whether a tuple passing these checks is geometrically realizable as an
     isoparametric family (a genuine question only for k in {4, 6}) is not
     checked; the profile equations depend on the tuple only through the
-    constants above, so every admissible tuple integrates fine.
+    constants above, so every admissible tuple integrates fine.  Instances
+    are hashable so parameter sets can key caches and test tables.
     """
-    # type(...) is int: 2.0 == 2 and True is an int subclass, and either
-    # would pass a membership or isinstance test into params_to_dict's JSON
-    if type(k) is not int or k not in ADMISSIBLE_K:
-        raise ValueError(f"k must be one of {ADMISSIBLE_K}, got {k!r}")
-    if type(n) is not int or n < 2:
-        raise ValueError(f"ambient sphere dimension n must be an integer >= 2, got {n!r}")
-    if not (type(m1) is int and type(m2) is int):
-        raise ValueError(f"multiplicities must be integers, got m1={m1!r}, m2={m2!r}")
-    if m1 < 1 or m2 < 1:
-        raise ValueError(f"multiplicities must be >= 1, got m1={m1}, m2={m2}")
 
-    if k in EQUAL_MULTIPLICITY_K:
-        if m1 != m2:
-            raise ValueError(
-                f"k={k} forces equal multiplicities, got m1={m1}, m2={m2}"
-            )
-        R = 0.0
-    else:
-        if k == 2 and m1 + m2 != n - 1:
-            raise ValueError(
-                f"k=2 requires m1 + m2 == n - 1, got m1={m1}, m2={m2}, n={n}"
-            )
-        R = -1.0 + k * m2 / (n - 1)
-        if not -1.0 < R < 1.0:
-            raise ValueError(
-                f"derived level R={R} outside (-1, 1) for k={k}, n={n}, m2={m2}"
-            )
-    return SolitonParams(k=k, n=n, m1=m1, m2=m2, R=R)
+    k: int
+    n: int
+    m1: int
+    m2: int
+    R: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        k, n, m1, m2 = self.k, self.n, self.m1, self.m2
+        # type(...) is int: 2.0 == 2 and True is an int subclass, and either
+        # would pass a membership or isinstance test into params_to_dict's JSON
+        if type(k) is not int or k not in ADMISSIBLE_K:
+            raise ValueError(f"k must be one of {ADMISSIBLE_K}, got {k!r}")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"ambient sphere dimension n must be an integer >= 2, got {n!r}")
+        if not (type(m1) is int and type(m2) is int):
+            raise ValueError(f"multiplicities must be integers, got m1={m1!r}, m2={m2!r}")
+        if m1 < 1 or m2 < 1:
+            raise ValueError(f"multiplicities must be >= 1, got m1={m1}, m2={m2}")
+
+        if k in EQUAL_MULTIPLICITY_K:
+            if m1 != m2:
+                raise ValueError(f"k={k} forces equal multiplicities, got m1={m1}, m2={m2}")
+            R = 0.0
+        else:
+            if k == 2 and m1 + m2 != n - 1:
+                raise ValueError(f"k=2 requires m1 + m2 == n - 1, got m1={m1}, m2={m2}, n={n}")
+            R = -1.0 + k * m2 / (n - 1)
+            if not -1.0 < R < 1.0:
+                raise ValueError(f"derived level R={R} outside (-1, 1) for k={k}, n={n}, m2={m2}")
+        object.__setattr__(self, "R", R)
+
+
+def make_params(k: int, n: int, m1: int, m2: int) -> SolitonParams:
+    """``SolitonParams(k, n, m1, m2)``: the validated tuple and its level R."""
+    return SolitonParams(k, n, m1, m2)
 
 
 def alpha(p: SolitonParams, r: float) -> float:

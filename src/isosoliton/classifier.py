@@ -33,7 +33,7 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -61,10 +61,6 @@ from .verify import theta_of_level
 ROMANS = ("I", "II", "III", "IV", "V", "VI", "VII")
 UNLISTED = "Unlisted"
 
-PSI_TYPES = tuple(f"{t}''" for t in ROMANS)
-VPRIME_TYPES = tuple(f"{t}'" for t in ROMANS)
-V_TYPES = ROMANS
-
 DEFAULT_CROSSING_TOL = 1e-3
 
 
@@ -82,13 +78,20 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShapeType:
-    """Type verdict at all three levels, plus the crossing that decided it."""
+    """Type verdict at all three levels, plus the crossing that decided it;
+    the slope and derivative labels are read off the profile label."""
 
-    psi_type: str
-    vprime_type: str
+    psi_type: str = field(init=False)
+    vprime_type: str = field(init=False)
     v_type: str
     zero_crossing: float | None
-    evidence: Evidence | None = None
+    evidence: Evidence
+
+    def __post_init__(self) -> None:
+        psi_type = self.v_type if self.is_unlisted else f"{self.v_type}''"
+        # raises for a numeral outside I..VII
+        object.__setattr__(self, "vprime_type", type_correspondence(psi_type)[0])
+        object.__setattr__(self, "psi_type", psi_type)
 
     @property
     def is_unlisted(self) -> bool:
@@ -99,22 +102,10 @@ def type_correspondence(psi_type: str) -> tuple[str, str]:
     """Slope-level label -> (derivative-level, profile-level) labels."""
     if psi_type == UNLISTED:
         return (UNLISTED, UNLISTED)
-    if psi_type not in PSI_TYPES:
+    v_type = psi_type.removesuffix("''")
+    if v_type == psi_type or v_type not in ROMANS:
         raise ValueError(f"unknown slope-level type {psi_type!r}")
-    i = PSI_TYPES.index(psi_type)
-    return (VPRIME_TYPES[i], V_TYPES[i])
-
-
-def _shape(index: int | None, zero_crossing: float | None, ev: Evidence) -> ShapeType:
-    if index is None:
-        return ShapeType(UNLISTED, UNLISTED, UNLISTED, zero_crossing, ev)
-    return ShapeType(
-        psi_type=PSI_TYPES[index],
-        vprime_type=VPRIME_TYPES[index],
-        v_type=V_TYPES[index],
-        zero_crossing=zero_crossing,
-        evidence=ev,
-    )
+    return (f"{v_type}'", v_type)
 
 
 def check_crossing_tol(tol: float) -> float:
@@ -155,47 +146,57 @@ def classify(trace: Trace, tol: float = DEFAULT_CROSSING_TOL) -> ShapeType:
     if le.kind == BLOWUP_MINUS and re.kind == BLOWUP_PLUS and len(zeros) == 1:
         z = zeros[0]
         if abs(z - R) <= tol:
-            return _shape(0, z, ev)
+            return ShapeType("I", z, ev)
         if z < R - tol:
-            return _shape(1, z, ev)
-        return _shape(2, z, ev)
+            return ShapeType("II", z, ev)
+        return ShapeType("III", z, ev)
     if le.kind == BLOWUP_PLUS and re.kind == BLOWUP_PLUS and not zeros and ev.psi_min > 0.0:
-        return _shape(3, None, ev)
+        return ShapeType("IV", None, ev)
     if le.kind == BLOWUP_MINUS and re.kind == BLOWUP_MINUS and not zeros and ev.psi_max < 0.0:
-        return _shape(4, None, ev)
+        return ShapeType("V", None, ev)
     if le.kind == REGULAR_ENDPOINT and le.location == -1.0 and re.kind == BLOWUP_PLUS:
-        return _shape(5, None, ev)
+        return ShapeType("VI", None, ev)
     if le.kind == BLOWUP_MINUS and re.kind == REGULAR_ENDPOINT and re.location == 1.0:
-        return _shape(6, None, ev)
-    return _shape(None, zeros[0] if len(zeros) == 1 else None, ev)
+        return ShapeType("VII", None, ev)
+    return ShapeType(UNLISTED, zeros[0] if len(zeros) == 1 else None, ev)
+
+
+def _reaches_focal(v_type: str) -> tuple[bool, bool]:
+    """Whether a profile of this type reaches r = -1 and r = +1."""
+    return v_type == "VI", v_type == "VII"
 
 
 @dataclass(frozen=True)
 class DomainReport:
-    """How the graph's domain sits inside the sphere, for k in {1, 2, 3}."""
+    """How the graph's domain sits inside the sphere, for k in {1, 2, 3};
+    the focal flags are read off ``v_type``."""
 
     k: int
     v_type: str
-    contains_focal_minus: bool
-    contains_focal_plus: bool
+    contains_focal_minus: bool = field(init=False)
+    contains_focal_plus: bool = field(init=False)
     description: dict
+
+    def __post_init__(self) -> None:
+        minus, plus = _reaches_focal(self.v_type)
+        object.__setattr__(self, "contains_focal_minus", minus)
+        object.__setattr__(self, "contains_focal_plus", plus)
 
 
 def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:
     """Geometric domain statement determined by the shape type.
 
     k = 1: membership of the two poles (the focal points of the height
-    function).  k = 2: the colatitude interval of the leaf family, with
-    closure flags; interval endpoints need the blow-up locations and are
-    None when the shape carries no evidence.  k = 3: whether the domain is a
-    union of principal orbits only or reaches a singular orbit.
+    function).  k = 2: the colatitude interval of the leaf family between
+    the levels of the two end events, with closure flags.  k = 3: whether
+    the domain is a union of principal orbits only or reaches a singular
+    orbit.
     """
     if p.k not in (1, 2, 3):
         raise ValueError(f"domain statements are available for k in {{1, 2, 3}}, got k={p.k}")
     if shape.is_unlisted:
         raise ValueError("no domain statement for an Unlisted shape")
-    minus = shape.v_type == "VI"
-    plus = shape.v_type == "VII"
+    minus, plus = _reaches_focal(shape.v_type)
 
     if p.k == 1:
         desc = {
@@ -206,19 +207,11 @@ def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:
         }
     elif p.k == 2:
         # The band between the end levels, closed at a focal level reached
-        # regularly.  Colatitude decreases with the level, so theta_lo comes
-        # from the right end.
-        left = right = None
-        if shape.evidence is not None:
-            left = shape.evidence.left_event.location
-            right = shape.evidence.right_event.location
-        if minus:
-            left = -1.0
-        if plus:
-            right = 1.0
+        # regularly (a RegularEndpoint sits at exactly -1 or +1).  Colatitude
+        # decreases with the level, so theta_lo comes from the right end.
         desc = {
-            "theta_lo": None if right is None else theta_of_level(right),
-            "theta_hi": None if left is None else theta_of_level(left),
+            "theta_lo": theta_of_level(shape.evidence.right_event.location),
+            "theta_hi": theta_of_level(shape.evidence.left_event.location),
             "closed_lo": plus,
             "closed_hi": minus,
         }
@@ -241,13 +234,7 @@ def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:
             "meets_focal_plus": plus,
             "statement": statement,
         }
-    return DomainReport(
-        k=p.k,
-        v_type=shape.v_type,
-        contains_focal_minus=minus,
-        contains_focal_plus=plus,
-        description=desc,
-    )
+    return DomainReport(k=p.k, v_type=shape.v_type, description=desc)
 
 
 def shape_to_dict(shape: ShapeType) -> dict:
@@ -274,7 +261,7 @@ def classification_report(trace: Trace, shape: ShapeType,
         },
         "crossings": [{"kind": c.kind, "r": c.r} for c in trace.crossings],
     }
-    if shape.evidence is not None and shape.evidence.psi_at_R is not None:
+    if shape.evidence.psi_at_R is not None:
         rep["psi_at_R"] = shape.evidence.psi_at_R
     if domain is not None:
         rep["domain"] = dataclasses.asdict(domain)
@@ -302,11 +289,30 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The entries of a sweep, in seed order, and what they add up to: the
+    count of each profile-level type, the seeds that classified Unlisted,
+    and the seeds whose run failed, with the failure."""
+
     params: SolitonParams
     entries: tuple[SweepEntry, ...]
-    histogram: dict[str, int]
-    unlisted: tuple[PhasePoint, ...]
-    errors: tuple[tuple[PhasePoint, str], ...]
+    histogram: dict[str, int] = field(init=False)
+    unlisted: tuple[PhasePoint, ...] = field(init=False)
+    errors: tuple[tuple[PhasePoint, str], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        histogram: dict[str, int] = {}
+        unlisted: list[PhasePoint] = []
+        errors: list[tuple[PhasePoint, str]] = []
+        for e in self.entries:
+            if e.error is not None:
+                errors.append((e.seed, e.error))
+                continue
+            histogram[e.shape.v_type] = histogram.get(e.shape.v_type, 0) + 1
+            if e.shape.is_unlisted:
+                unlisted.append(e.seed)
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "unlisted", tuple(unlisted))
+        object.__setattr__(self, "errors", tuple(errors))
 
     @property
     def n_seeds(self) -> int:
@@ -342,14 +348,9 @@ def _entry(seed: PhasePoint, tol: float, build: Callable[[], Trace]) -> SweepEnt
         return SweepEntry(seed=seed, shape=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_one(args: tuple[SolitonParams, PhasePoint, IntegratorConfig, float]) -> SweepEntry:
-    p, seed, cfg, tol = args
-    return _entry(seed, tol, partial(maximal_trace, p, seed, cfg))
-
-
 def _sweep_block(args: tuple[SolitonParams, list[PhasePoint], IntegratorConfig, float]
                  ) -> list[SweepEntry]:
-    """The entries of ``_sweep_one`` for a block of seeds.
+    """The sweep entries of a block of seeds.
 
     A large block integrates in lockstep.  If the lockstep raises, the block
     runs seed by seed instead, so each failure lands on its own seed.
@@ -363,7 +364,7 @@ def _sweep_block(args: tuple[SolitonParams, list[PhasePoint], IntegratorConfig, 
         else:
             return [_entry(s, tol, partial(_assemble, p, s, cfg, left, right))
                     for s, left, right in zip(seeds, halves[::2], halves[1::2])]
-    return [_sweep_one((p, s, cfg, tol)) for s in seeds]
+    return [_entry(s, tol, partial(maximal_trace, p, s, cfg)) for s in seeds]
 
 
 def sweep(
@@ -403,25 +404,7 @@ def sweep(
             blocks = list(pool.map(_sweep_block, jobs))
     else:
         blocks = [_sweep_block(j) for j in jobs]
-    entries = [e for block in blocks for e in block]
-
-    histogram: dict[str, int] = {}
-    unlisted: list[PhasePoint] = []
-    errors: list[tuple[PhasePoint, str]] = []
-    for e in entries:
-        if e.error is not None:
-            errors.append((e.seed, e.error))
-            continue
-        histogram[e.shape.v_type] = histogram.get(e.shape.v_type, 0) + 1
-        if e.shape.is_unlisted:
-            unlisted.append(e.seed)
-    return SweepResult(
-        params=p,
-        entries=tuple(entries),
-        histogram=histogram,
-        unlisted=tuple(unlisted),
-        errors=tuple(errors),
-    )
+    return SweepResult(params=p, entries=tuple(e for block in blocks for e in block))
 
 
 def sweep_to_dict(result: SweepResult) -> dict:

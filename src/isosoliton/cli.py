@@ -132,7 +132,7 @@ def _range(text: str) -> tuple[float, float]:
 def _add_params_flags(ap: argparse.ArgumentParser, required: bool = True) -> None:
     ap.add_argument("--k", type=int, required=required,
                     help="degree of the foliation, one of 1,2,3,4,6")
-    ap.add_argument("--n", type=int, required=required, default=2, help="dimension of the sphere")
+    ap.add_argument("--n", type=int, required=required, help="dimension of the sphere")
     ap.add_argument("--m", type=int, default=None,
                     help="single multiplicity for k in {1,3,6}; defaults to n-1 when k=1")
     ap.add_argument("--m1", type=int, default=None, help="first multiplicity (k in {2,4})")
@@ -388,16 +388,29 @@ def _check_endpoint_law(ap: argparse.ArgumentParser, args: argparse.Namespace) -
             "endpoints": devs, "tol": tol}, ok
 
 
+_PARAMS_FLAGS = ("k", "n", "m", "m1", "m2")
+# Each check and the verify flags it reads; giving it another is a usage error.
 VERIFY_CHECKS = {
-    "grim-reaper": _check_grim_reaper,
-    "identities": _check_identities,
-    "ode-residual": _check_ode_residual,
-    "endpoint-law": _check_endpoint_law,
+    "grim-reaper": (_check_grim_reaper, ("points", "rng_seed")),
+    "identities": (_check_identities, ("points", "rng_seed", "family", "n", "l")),
+    "ode-residual": (_check_ode_residual, ("points", "rng_seed", *_PARAMS_FLAGS)),
+    "endpoint-law": (_check_endpoint_law, _PARAMS_FLAGS),
 }
+# The verify flags and their defaults; the parser leaves a flag not given None.
+_VERIFY_DEFAULTS = {"points": 1000, "rng_seed": 0, "family": "k1", "l": None,
+                    "k": None, "n": 2, "m": None, "m1": None, "m2": None}
 
 
 def cmd_verify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    payload, ok = VERIFY_CHECKS[args.check](ap, args)
+    check, reads = VERIFY_CHECKS[args.check]
+    unread = [f"--{dest.replace('_', '-')}" for dest in _VERIFY_DEFAULTS
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        ap.error(f"--check {args.check} does not read {', '.join(unread)}")
+    for dest, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    payload, ok = check(ap, args)
     payload["pass"] = ok
     path = _write(args.out, "verify.json", _json_text(payload))
     print(f"{'PASS' if ok else 'FAIL'}; wrote {path}")
@@ -441,8 +454,7 @@ def cmd_domain(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         lo, hi = domain.description["theta_lo"], domain.description["theta_hi"]
         lob = "[" if domain.description["closed_lo"] else "("
         hib = "]" if domain.description["closed_hi"] else ")"
-        fmt = lambda v: "?" if v is None else f"{v:.6g}"
-        print(f"type {shape.v_type}: theta in {lob}{fmt(lo)}, {fmt(hi)}{hib}")
+        print(f"type {shape.v_type}: theta in {lob}{lo:.6g}, {hi:.6g}{hib}")
     else:
         print(f"type {shape.v_type}: focal- {domain.contains_focal_minus}, "
               f"focal+ {domain.contains_focal_plus}")
@@ -499,12 +511,11 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one of the built-in ground-truth checks")
     v.add_argument("--check", required=True, choices=VERIFY_CHECKS)
-    v.add_argument("--points", type=_positive_int, default=1000)
-    v.add_argument("--rng-seed", type=_non_negative_int, default=0)
-    v.add_argument("--family", choices=("k1", "k2"), default="k1",
-                   help="identities: which foliation family")
-    v.add_argument("--l", type=int, default=None, help="identities: k2 split index")
-    # optional here: ode-residual and endpoint-law need --k, identities reads --n
+    v.add_argument("--points", type=_positive_int, help="default 1000")
+    v.add_argument("--rng-seed", type=_non_negative_int, help="default 0")
+    v.add_argument("--family", choices=("k1", "k2"), help="identities: family, default k1")
+    v.add_argument("--l", type=int, help="identities: k2 split index")
+    # optional here: ode-residual and endpoint-law need --k; --n defaults to 2
     _add_params_flags(v, required=False)
     _add_out_flag(v)
     v.set_defaults(func=cmd_verify)

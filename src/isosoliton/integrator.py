@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,7 +186,8 @@ class Trace:
     """A maximal bidirectional run, samples strictly increasing in r.
 
     vprime is definitionally psi/(k sqrt(1-r^2)); v is the profile recovered
-    by trapezoid quadrature of vprime with gauge v = 0 at the seed.
+    by trapezoid quadrature of vprime with gauge v = 0 at the seed, which
+    must be one of the samples.
     """
 
     params: SolitonParams
@@ -195,12 +196,29 @@ class Trace:
     r: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
-    vprime: np.ndarray
-    v: np.ndarray
+    vprime: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
     left_event: TerminationEvent
     right_event: TerminationEvent
     crossings: tuple[Crossing, ...]
     step_stats: StepStats
+
+    def __post_init__(self) -> None:
+        r = self.r
+        at_seed = int(np.searchsorted(r, self.seed.r))
+        if at_seed == len(r) or r[at_seed] != self.seed.r:
+            raise ValueError(f"the seed level r={self.seed.r} is not a sample of the trace")
+        vprime, dvprime = _profile_slopes(self.params.k, r, self.psi, self.dpsi)
+        # Trapezoid with the Hermite endpoint correction h^2/12 (f'_0 - f'_1);
+        # the derivative of vprime comes for free from the stored slope
+        # derivatives, and the correction buys two orders in the sample spacing.
+        h_i = np.diff(r)
+        dv = 0.5 * (vprime[1:] + vprime[:-1]) * h_i \
+            - h_i * h_i / 12.0 * (dvprime[1:] - dvprime[:-1])
+        v = np.concatenate([[0.0], np.cumsum(dv)])
+        v -= v[at_seed]
+        object.__setattr__(self, "vprime", vprime)
+        object.__setattr__(self, "v", v)
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -835,19 +853,6 @@ def _assemble(p: SolitonParams, seed: PhasePoint, cfg: IntegratorConfig,
     r = np.concatenate([left.r[::-1][:-1], right.r])
     psi = np.concatenate([left.psi[::-1][:-1], right.psi])
     dpsi = np.concatenate([left.dpsi[::-1][:-1], right.dpsi])
-
-    vprime, dvprime = _profile_slopes(p.k, r, psi, dpsi)
-    # Trapezoid with the Hermite endpoint correction h^2/12 (f'_0 - f'_1);
-    # the derivative of vprime comes for free from the stored slope
-    # derivatives, and the correction buys two orders in the sample spacing.
-    h_i = np.diff(r)
-    dv = 0.5 * (vprime[1:] + vprime[:-1]) * h_i \
-        - h_i * h_i / 12.0 * (dvprime[1:] - dvprime[:-1])
-    v = np.concatenate([[0.0], np.cumsum(dv)])
-    v -= v[len(left.r) - 1]
-
-    crossings = _find_crossings(p, r, psi, dpsi)
-
     stats = StepStats(
         accepted=left.stats.accepted + right.stats.accepted,
         rejected=left.stats.rejected + right.stats.rejected,
@@ -856,10 +861,9 @@ def _assemble(p: SolitonParams, seed: PhasePoint, cfg: IntegratorConfig,
         max_step=max(left.stats.max_step, right.stats.max_step),
     )
     return Trace(
-        params=p, seed=seed, cfg=cfg,
-        r=r, psi=psi, dpsi=dpsi, vprime=vprime, v=v,
+        params=p, seed=seed, cfg=cfg, r=r, psi=psi, dpsi=dpsi,
         left_event=left.event, right_event=right.event,
-        crossings=crossings, step_stats=stats,
+        crossings=_find_crossings(p, r, psi, dpsi), step_stats=stats,
     )
 
 

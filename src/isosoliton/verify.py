@@ -286,6 +286,8 @@ def isoparametric_identities(
 
         |grad h|^2 = k^2 |x|^(2k-2),      Lap h = ((m2-m1)/2) k^2 |x|^(k-2).
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     d = f.n + 1
     k = f.k

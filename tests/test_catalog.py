@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isosoliton import (
+    SolitonParams,
     alpha,
     beta,
     make_params,
@@ -14,6 +15,27 @@ from isosoliton import (
 )
 from isosoliton.catalog import ADMISSIBLE_K
 
+# SolitonParams validates itself; make_params makes the same call
+SPELLINGS = (make_params, SolitonParams)
+
+# every rejection message, worded as make_params worded it when it held the
+# checks itself
+REJECTIONS = [
+    ((0, 4, 1, 1), "k must be one of (1, 2, 3, 4, 6), got 0"),
+    ((5, 4, 1, 1), "k must be one of (1, 2, 3, 4, 6), got 5"),
+    ((2.0, 3, 1, 1), "k must be one of (1, 2, 3, 4, 6), got 2.0"),
+    ((True, 2, True, True), "k must be one of (1, 2, 3, 4, 6), got True"),
+    ((2, 3, True, True), "multiplicities must be integers, got m1=True, m2=True"),
+    ((1, 1, 1, 1), "ambient sphere dimension n must be an integer >= 2, got 1"),
+    ((2, 3.0, 1, 1), "ambient sphere dimension n must be an integer >= 2, got 3.0"),
+    ((2, 4, 0, 3), "multiplicities must be >= 1, got m1=0, m2=3"),
+    ((1, 8, 1, 2), "k=1 forces equal multiplicities, got m1=1, m2=2"),
+    ((6, 8, 2, 3), "k=6 forces equal multiplicities, got m1=2, m2=3"),
+    ((2, 3, 2, 1), "k=2 requires m1 + m2 == n - 1, got m1=2, m2=1, n=3"),
+    ((2, 3, 1, 2), "k=2 requires m1 + m2 == n - 1, got m1=1, m2=2, n=3"),
+    ((4, 3, 1, 1), "derived level R=1.0 outside (-1, 1) for k=4, n=3, m2=1"),
+]
+
 
 class TestValidation:
     def test_admissible_degrees(self):
@@ -21,46 +43,84 @@ class TestValidation:
             assert k in ADMISSIBLE_K
 
     def test_rejects_other_degrees(self):
-        for k in (0, 5, 7, -1):
-            with pytest.raises(ValueError):
-                make_params(k, 4, 1, 1)
+        for build in SPELLINGS:
+            for k in (0, 5, 7, -1):
+                with pytest.raises(ValueError):
+                    build(k, 4, 1, 1)
 
     @pytest.mark.parametrize("fields", [(2.0, 3, 1, 1), (True, 2, True, True),
                                         (2, 3, True, True)])
     def test_non_int_fields_rejected(self, fields):
-        with pytest.raises(ValueError):
-            make_params(*fields)
+        for build in SPELLINGS:
+            with pytest.raises(ValueError):
+                build(*fields)
 
     def test_dict_with_integral_floats_loads(self):
         k = params_to_dict(params_from_dict({"k": 2.0, "n": 3.0, "m1": 1.0, "m2": 1.0}))["k"]
         assert (k, type(k)) == (2, int)
 
     def test_equal_multiplicity_enforced(self):
-        for k in (1, 3, 6):
-            with pytest.raises(ValueError, match="equal multiplicities"):
-                make_params(k, 8, 1, 2)
+        for build in SPELLINGS:
+            for k in (1, 3, 6):
+                with pytest.raises(ValueError, match="equal multiplicities"):
+                    build(k, 8, 1, 2)
 
     def test_k2_dimension_relation(self):
-        with pytest.raises(ValueError, match="m1 \\+ m2"):
-            make_params(2, 3, 2, 1)
-        p = make_params(2, 4, 2, 1)
-        assert (p.m1, p.m2) == (2, 1)
+        for build in SPELLINGS:
+            with pytest.raises(ValueError, match="m1 \\+ m2"):
+                build(2, 3, 2, 1)
+            p = build(2, 4, 2, 1)
+            assert (p.m1, p.m2) == (2, 1)
 
     def test_small_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            make_params(1, 1, 1, 1)
+        for build in SPELLINGS:
+            with pytest.raises(ValueError):
+                build(1, 1, 1, 1)
 
     def test_nonpositive_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            make_params(2, 4, 0, 3)
+        for build in SPELLINGS:
+            with pytest.raises(ValueError):
+                build(2, 4, 0, 3)
 
     def test_derived_level_must_be_interior(self):
         # k=4, m2 large enough to push R past +1
-        with pytest.raises(ValueError, match="outside"):
-            make_params(4, 3, 1, 1)
+        for build in SPELLINGS:
+            with pytest.raises(ValueError, match="outside"):
+                build(4, 3, 1, 1)
+
+    @pytest.mark.parametrize("build", SPELLINGS, ids=["make_params", "SolitonParams"])
+    @pytest.mark.parametrize("fields, message", REJECTIONS)
+    def test_rejection_message(self, build, fields, message):
+        with pytest.raises(ValueError) as e:
+            build(*fields)
+        assert str(e.value) == message
+
+    def test_level_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SolitonParams(2, 3, 1, 1, 0.7)
+        with pytest.raises(TypeError):
+            SolitonParams(2, 3, 1, 1, R=0.7)
 
 
 class TestDerivedConstants:
+    def test_level_matches_the_closed_form_bit_for_bit(self):
+        """R = 0 for k in {1, 3, 6}, else -1 + k m2 / (n - 1), on every
+        admissible tuple with n, m1, m2 <= 16."""
+        checked = 0
+        for k in ADMISSIBLE_K:
+            for n in range(2, 17):
+                for m1 in range(1, 17):
+                    for m2 in range(1, 17):
+                        try:
+                            p = SolitonParams(k, n, m1, m2)
+                        except ValueError:
+                            continue
+                        want = 0.0 if k in (1, 3, 6) else -1.0 + k * m2 / (n - 1)
+                        assert p.R.hex() == want.hex(), (k, n, m1, m2)
+                        assert make_params(k, n, m1, m2) == p
+                        checked += 1
+        assert checked == 1609
+
     def test_equal_multiplicity_level_is_zero(self):
         assert make_params(1, 2, 1, 1).R == 0.0
         assert make_params(3, 5, 1, 1).R == 0.0

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ from isosoliton import (
     BLOWUP_PLUS,
     CROSSING_ZERO,
     Crossing,
+    DomainReport,
     IntegratorConfig,
     PhasePoint,
     ROMANS,
+    ShapeType,
     StepStats,
+    SweepResult,
     TerminationEvent,
     Trace,
     UNLISTED,
@@ -129,7 +134,6 @@ def _synthetic_trace(left_kind, right_kind, psi_values):
     """Hand-built trace for feature combinations the flow cannot produce."""
     r = np.linspace(-0.4, 0.4, len(psi_values))
     psi = np.asarray(psi_values, dtype=float)
-    sq = np.sqrt(1.0 - r * r)
     return Trace(
         params=P12,
         seed=PhasePoint(0.0, float(psi[len(psi) // 2])),
@@ -137,8 +141,6 @@ def _synthetic_trace(left_kind, right_kind, psi_values):
         r=r,
         psi=psi,
         dpsi=np.zeros_like(r),
-        vprime=psi / sq,
-        v=np.zeros_like(r),
         left_event=TerminationEvent(kind=left_kind, location=-0.5),
         right_event=TerminationEvent(kind=right_kind, location=0.5),
         crossings=(),
@@ -324,7 +326,8 @@ class TestSweep:
 
 
 def _per_seed(p, seeds, cfg=CFG):
-    return tuple(classifier._sweep_one((p, s, cfg, classifier.DEFAULT_CROSSING_TOL))
+    return tuple(classifier._entry(s, classifier.DEFAULT_CROSSING_TOL,
+                                   partial(classifier.maximal_trace, p, s, cfg))
                  for s in seeds)
 
 
@@ -409,3 +412,61 @@ class TestSweepBlocks:
         assert len(sizes) == 2 and max(sizes) <= 2 * cap
         assert [e.seed for e in res.entries] == seeds
         assert not res.errors
+
+
+class TestDerivedFields:
+    """What follows from the stored fields is computed, never passed in."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ShapeType("I", 0.0, None, psi_type="I''"),
+        lambda: DomainReport(1, "VI", {}, contains_focal_minus=True),
+        lambda: SweepResult(P12, (), histogram={}),
+        lambda: Trace(params=P12, seed=PhasePoint(0.0, 0.0), cfg=CFG, r=np.zeros(1),
+                      psi=np.zeros(1), dpsi=np.zeros(1), vprime=np.zeros(1),
+                      left_event=None, right_event=None, crossings=(), step_stats=None),
+    ], ids=["ShapeType", "DomainReport", "SweepResult", "Trace"])
+    def test_derived_field_is_no_constructor_argument(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build()
+
+    def test_shape_labels_follow_the_profile_type(self):
+        ev = classify(maximal_trace(P12, PhasePoint(0.0, 0.0), CFG)).evidence
+        for v_name in ROMANS:
+            shape = ShapeType(v_name, None, ev)
+            assert (shape.vprime_type, shape.v_type) == type_correspondence(shape.psi_type)
+        assert ShapeType(UNLISTED, None, ev).psi_type == UNLISTED
+        with pytest.raises(ValueError, match="unknown"):
+            ShapeType("VIII", None, ev)
+
+    def test_focal_flags_follow_the_type(self):
+        flags = {t: (d.contains_focal_minus, d.contains_focal_plus)
+                 for t in ROMANS for d in [DomainReport(2, t, {})]}
+        assert flags == {t: (t == "VI", t == "VII") for t in ROMANS}
+
+    def test_replaced_entries_recompute_the_tallies(self):
+        seeds = grid_seeds((-0.6, 0.6), (-3.0, 3.0), 3, 3)
+        res = sweep(P12, seeds, cfg=CFG)
+        failed = classifier.SweepEntry(seed=PhasePoint(0.5, 0.5), shape=None,
+                                       error="ValueError: no trace")
+        unlisted = classifier.SweepEntry(
+            seed=PhasePoint(0.1, 0.1), shape=dataclasses.replace(
+                res.entries[0].shape, v_type=UNLISTED, zero_crossing=None), error=None)
+        edited = dataclasses.replace(res, entries=res.entries[1:] + (failed, unlisted))
+        kept = Counter(e.shape.v_type for e in res.entries[1:])
+        assert edited.histogram == dict(kept + Counter([UNLISTED]))
+        assert edited.unlisted == (PhasePoint(0.1, 0.1),)
+        assert edited.errors == ((PhasePoint(0.5, 0.5), "ValueError: no trace"),)
+        assert dataclasses.replace(res, entries=()).histogram == {}
+
+    def test_trace_seed_must_be_a_sample(self):
+        tr = _synthetic_trace(BLOWUP_PLUS, BLOWUP_MINUS, [5.0, 3.0, 2.0, 1.5, 1.0])
+        assert tr.v[2] == 0.0
+        for r in (0.05, 0.5, -0.5):
+            with pytest.raises(ValueError, match="not a sample"):
+                dataclasses.replace(tr, seed=PhasePoint(r, 2.0))
+
+    def test_trace_profile_columns_are_recomputed(self):
+        tr = maximal_trace(P23, PhasePoint(-0.2, 0.7), CFG)
+        moved = dataclasses.replace(tr, psi=2.0 * tr.psi, dpsi=2.0 * tr.dpsi)
+        assert np.array_equal(moved.vprime, 2.0 * tr.vprime)
+        np.testing.assert_allclose(moved.v, 2.0 * tr.v, rtol=1e-12, atol=1e-15)

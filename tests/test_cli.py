@@ -229,6 +229,27 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS" in out
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["grim-reaper", "--points", "10", "--k", "7", "--n", "99", "--m1", "3"],
+         "--k, --n, --m1"),
+        (["grim-reaper", "--family", "k1"], "--family"),
+        (["identities", "--points", "10", "--k", "2", "--family", "k1", "--n", "3"], "--k"),
+        (["identities", "--m", "1"], "--m"),
+        (["ode-residual", "--k", "1", "--l", "2"], "--l"),
+        (["endpoint-law", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
+          "--points", "5", "--family", "k2", "--l", "9"], "--points, --family, --l"),
+        (["endpoint-law", "--k", "1", "--rng-seed", "0"], "--rng-seed"),
+    ])
+    def test_flag_the_check_does_not_read(self, tmp_path, capsys, argv, unread):
+        """Each check reads the flags its VERIFY_CHECKS entry names; another
+        one is a usage error, even at its default value, before any output."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "--check", *argv, "--out", str(out)])
+        assert e.value.code == EXIT_USAGE
+        assert f"--check {argv[0]} does not read {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDomain:
     def test_type_vii_interval(self, tmp_path, capsys):

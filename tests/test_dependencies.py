@@ -4,6 +4,7 @@ README and the demos import, its parameters are pinned, and the test
 oracles stay out of src/."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -105,7 +106,7 @@ def test_public_surface():
 # that adds, drops or renames a knob of the public surface edits this table.
 PUBLIC_PARAMETERS = {
     "Crossing": "kind r",
-    "DomainReport": "k v_type contains_focal_minus contains_focal_plus description",
+    "DomainReport": "k v_type description",
     "Evidence": "left_event right_event zero_crossings psi_min psi_max psi_at_R",
     "GraphSample": "ambient points u fd_step",
     "HalfTrace": "params seed direction r psi dpsi event stats",
@@ -115,13 +116,13 @@ PUBLIC_PARAMETERS = {
     "IsoparametricFn": "kind n l",
     "PhasePoint": "r psi",
     "ResidualReport": "values",
-    "ShapeType": "psi_type vprime_type v_type zero_crossing evidence",
-    "SolitonParams": "k n m1 m2 R",
+    "ShapeType": "v_type zero_crossing evidence",
+    "SolitonParams": "k n m1 m2",
     "StepStats": "accepted rejected min_step max_step",
     "SweepEntry": "seed shape error",
-    "SweepResult": "params entries histogram unlisted errors",
+    "SweepResult": "params entries",
     "TerminationEvent": "kind location endpoint_vprime",
-    "Trace": "params seed cfg r psi dpsi vprime v left_event right_event crossings step_stats",
+    "Trace": "params seed cfg r psi dpsi left_event right_event crossings step_stats",
     "alpha": "p r",
     "beta": "p r",
     "blowup_bound": "p r0 psi0 side",
@@ -165,6 +166,30 @@ PUBLIC_PARAMETERS = {
 }
 
 
+# The fields (init=False) that every public dataclass computes from its
+# parameters, in field order.  Turning one back into a constructor value, or
+# a constructor value into a derived field, edits this table.
+DERIVED_FIELDS = {
+    "Crossing": "",
+    "DomainReport": "contains_focal_minus contains_focal_plus",
+    "Evidence": "",
+    "GraphSample": "",
+    "HalfTrace": "",
+    "IdentityReport": "",
+    "IntegratorConfig": "",
+    "IsoparametricFn": "",
+    "PhasePoint": "",
+    "ResidualReport": "",
+    "ShapeType": "psi_type vprime_type",
+    "SolitonParams": "R",
+    "StepStats": "",
+    "SweepEntry": "",
+    "SweepResult": "histogram unlisted errors",
+    "TerminationEvent": "",
+    "Trace": "vprime v",
+}
+
+
 def test_public_parameters():
     import isosoliton
 
@@ -174,3 +199,14 @@ def test_public_parameters():
         if callable(obj):
             got[name] = " ".join(inspect.signature(obj).parameters)
     assert got == PUBLIC_PARAMETERS
+
+
+def test_derived_fields():
+    import isosoliton
+
+    got = {}
+    for name in isosoliton.__all__:
+        obj = getattr(isosoliton, name)
+        if dataclasses.is_dataclass(obj):
+            got[name] = " ".join(f.name for f in dataclasses.fields(obj) if not f.init)
+    assert got == DERIVED_FIELDS

@@ -167,6 +167,12 @@ class TestIdentities:
         assert rep.grad_ambient_max_err < 1e-12
         assert rep.lap_ambient_max_err < 1e-12
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_points_is_no_check(self, n_points):
+        """A report over no points would pass with every error 0."""
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            isoparametric_identities(IsoparametricFn(ISO_K1, 2), n_points=n_points)
+
 
 class TestGraphOperator:
     def test_grim_reaper_residual(self):
