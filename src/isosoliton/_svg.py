@@ -103,9 +103,26 @@ def _path(x: np.ndarray, y: np.ndarray, cap: float, xmap, ymap,
     return template % tuple(np.column_stack((xmap(x[keep]), ymap(y[keep]))).ravel().tolist())
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str = "1",
+          dash: str | None = None) -> str:
+    dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
+    return (f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash_attr}/>')
+
+
+def _text(x: str, y: str, size: int, fill: str, body: str, anchor: str | None = None,
+          transform: str | None = None) -> str:
+    """One text element; x and y come formatted, so a caller can pass a raw
+    literal where the figure has always had one."""
+    extra = "" if anchor is None else f' text-anchor="{anchor}"'
+    if transform is not None:
+        extra += f' transform="{transform}"'
+    return (f'<text x="{x}" y="{y}" {_FONT} font-size="{size}" fill="{fill}"{extra}>'
+            f"{_escape(body)}</text>")
+
+
 def render_plot(
     title: str,
-    xlabel: str,
     ylabel: str,
     curves: list[tuple[str, str, np.ndarray, np.ndarray, np.ndarray | None]],
     vlines: list[tuple[str, float]],
@@ -113,7 +130,8 @@ def render_plot(
     xlim: tuple[float, float],
     ylim: tuple[float, float],
 ) -> str:
-    """Assemble one figure; curves are (label, color, x, y, breaks).
+    """Assemble one figure over the level r; curves are (label, color, x, y,
+    breaks).
 
     Curve samples with |y| above ten times max |ylim| are dropped; the ones
     a little outside ylim are kept, so a curve visibly runs off the clipped
@@ -123,6 +141,7 @@ def render_plot(
     y0, y1 = ylim
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
+    bottom = _MT + ph
     cap = 10.0 * max(abs(y0), abs(y1))
 
     def xmap(x):
@@ -131,76 +150,37 @@ def render_plot(
     def ymap(y):
         return _MT + (y1 - y) / (y1 - y0) * ph
 
-    out: list[str] = []
-    out.append(
+    box = f'x="{_px(_ML)}" y="{_px(_MT)}" width="{_px(pw)}" height="{_px(ph)}"'
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" '
-        f'height="{int(_H)}" viewBox="0 0 {int(_W)} {int(_H)}">'
-    )
-    out.append(f'<rect width="{int(_W)}" height="{int(_H)}" fill="#ffffff"/>')
-    out.append(
-        f'<clipPath id="plotclip"><rect x="{_px(_ML)}" y="{_px(_MT)}" '
-        f'width="{_px(pw)}" height="{_px(ph)}"/></clipPath>'
-    )
+        f'height="{int(_H)}" viewBox="0 0 {int(_W)} {int(_H)}">',
+        f'<rect width="{int(_W)}" height="{int(_H)}" fill="#ffffff"/>',
+        f'<clipPath id="plotclip"><rect {box}/></clipPath>',
+        f'<rect {box} fill="none" stroke="{_AXIS}" stroke-width="1"/>',
+    ]
 
-    # axes box and ticks
-    out.append(
-        f'<rect x="{_px(_ML)}" y="{_px(_MT)}" width="{_px(pw)}" height="{_px(ph)}" '
-        f'fill="none" stroke="{_AXIS}" stroke-width="1"/>'
-    )
+    # ticks
     for t in _nice_ticks(x0, x1):
         tx = xmap(t)
-        out.append(
-            f'<line x1="{_px(tx)}" y1="{_px(_MT + ph)}" x2="{_px(tx)}" '
-            f'y2="{_px(_MT + ph + 4)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_px(tx)}" y="{_px(_MT + ph + 17)}" {_FONT} font-size="11" '
-            f'fill="{_AXIS}" text-anchor="middle">{t:g}</text>'
-        )
+        out.append(_line(tx, bottom, tx, bottom + 4, _AXIS))
+        out.append(_text(_px(tx), _px(bottom + 17), 11, _AXIS, f"{t:g}", "middle"))
     for t in _nice_ticks(y0, y1):
         ty = ymap(t)
-        out.append(
-            f'<line x1="{_px(_ML - 4)}" y1="{_px(ty)}" x2="{_px(_ML)}" '
-            f'y2="{_px(ty)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_px(_ML - 7)}" y="{_px(ty + 3.5)}" {_FONT} font-size="11" '
-            f'fill="{_AXIS}" text-anchor="end">{t:g}</text>'
-        )
+        out.append(_line(_ML - 4, ty, _ML, ty, _AXIS))
+        out.append(_text(_px(_ML - 7), _px(ty + 3.5), 11, _AXIS, f"{t:g}", "end"))
 
-    # titles and axis labels
-    out.append(
-        f'<text x="{_px(_ML)}" y="22" {_FONT} font-size="15" fill="{_AXIS}">'
-        f"{_escape(title)}</text>"
-    )
-    out.append(
-        f'<text x="{_px(_ML + pw / 2)}" y="{_px(_H - 10)}" {_FONT} font-size="12" '
-        f'fill="{_AXIS}" text-anchor="middle">{_escape(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_px(_MT + ph / 2)}" {_FONT} font-size="12" fill="{_AXIS}" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_px(_MT + ph / 2)})">'
-        f"{_escape(ylabel)}</text>"
-    )
-
-    # params / shape annotations, top right
+    # title, axis labels, then the params / shape annotations top right
+    mid = _px(_MT + ph / 2)
+    out.append(_text(_px(_ML), "22", 15, _AXIS, title))
+    out.append(_text(_px(_ML + pw / 2), _px(_H - 10), 12, _AXIS, "r", "middle"))
+    out.append(_text("16", mid, 12, _AXIS, ylabel, "middle", f"rotate(-90 16 {mid})"))
     for i, note in enumerate(annotations):
-        out.append(
-            f'<text x="{_px(_W - _MR)}" y="{_px(14 + 13 * i)}" {_FONT} font-size="11" '
-            f'fill="{_AXIS}" text-anchor="end">{_escape(note)}</text>'
-        )
+        out.append(_text(_px(_W - _MR), _px(14 + 13 * i), 11, _AXIS, note, "end"))
 
     out.append('<g clip-path="url(#plotclip)">')
     for label, x in vlines:
-        out.append(
-            f'<line x1="{_px(xmap(x))}" y1="{_px(_MT)}" x2="{_px(xmap(x))}" '
-            f'y2="{_px(_MT + ph)}" stroke="{_RLINE}" stroke-width="1" '
-            f'stroke-dasharray="3 3"/>'
-        )
-        out.append(
-            f'<text x="{_px(xmap(x) + 4)}" y="{_px(_MT + 12)}" {_FONT} font-size="10" '
-            f'fill="{_RLINE}">{_escape(label)}</text>'
-        )
+        out.append(_line(xmap(x), _MT, xmap(x), bottom, _RLINE, dash="3 3"))
+        out.append(_text(_px(xmap(x) + 4), _px(_MT + 12), 10, _RLINE, label))
     for label, color, x, y, breaks in curves:
         dash = "" if label == "trace" else ' stroke-dasharray="5 3"'
         d = _path(x, y, cap, xmap, ymap, breaks)
@@ -213,16 +193,9 @@ def render_plot(
     # legend, bottom left inside the box
     legend = [(label, color) for label, color, *_ in curves if label != "trace"]
     for i, (label, color) in enumerate(legend):
-        y = _MT + ph - 10 - 14 * (len(legend) - 1 - i)
-        out.append(
-            f'<line x1="{_px(_ML + 8)}" y1="{_px(y - 3.5)}" x2="{_px(_ML + 26)}" '
-            f'y2="{_px(y - 3.5)}" stroke="{color}" stroke-width="1.5" '
-            f'stroke-dasharray="5 3"/>'
-        )
-        out.append(
-            f'<text x="{_px(_ML + 30)}" y="{_px(y)}" {_FONT} font-size="11" '
-            f'fill="{color}">{_escape(label)}</text>'
-        )
+        y = bottom - 10 - 14 * (len(legend) - 1 - i)
+        out.append(_line(_ML + 8, y - 3.5, _ML + 26, y - 3.5, color, "1.5", "5 3"))
+        out.append(_text(_px(_ML + 30), _px(y), 11, color, label))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -260,7 +233,6 @@ def _height_ylim(values: np.ndarray) -> tuple[float, float]:
 
 
 def trace_figures(
-    p: SolitonParams,
     trace: Trace,
     shape_labels: dict[str, str],
     cfg: PlotConfig = PlotConfig(),
@@ -274,6 +246,7 @@ def trace_figures(
     span = float(trace.r[-1] - trace.r[0])
     pad = 0.02 * span if span > 0.0 else 0.01
     xlim = (float(trace.r[0]) - pad, float(trace.r[-1]) + pad)
+    p = trace.params
     params_note = f"k={p.k} n={p.n} m1={p.m1} m2={p.m2} R={p.R:g}"
     vlines = [("r=R", p.R)] if "R-line" in cfg.overlays and xlim[0] < p.R < xlim[1] else []
 
@@ -292,6 +265,6 @@ def trace_figures(
             overlay, label, color, samples = guide
             if overlay in cfg.overlays:
                 curves.append((label, color, *_guide(samples, p, xlim)))
-        figs[key] = render_plot(title, "r", ylabel, curves, vlines,
+        figs[key] = render_plot(title, ylabel, curves, vlines,
                                 [params_note, f"type {shape_labels[key]}"], xlim, ylim)
     return figs

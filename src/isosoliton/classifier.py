@@ -56,7 +56,6 @@ from .integrator import (
     psi_at,
 )
 from .phase import PhasePoint
-from .verify import theta_of_level
 
 ROMANS = ("I", "II", "III", "IV", "V", "VI", "VII")
 UNLISTED = "Unlisted"
@@ -181,6 +180,13 @@ class DomainReport:
         minus, plus = _reaches_focal(self.v_type)
         object.__setattr__(self, "contains_focal_minus", minus)
         object.__setattr__(self, "contains_focal_plus", plus)
+
+
+def theta_of_level(t: float) -> float:
+    """Geodesic colatitude of the K2 level set r = t: arccos sqrt((1+t)/2)."""
+    if not -1.0 <= t <= 1.0:
+        raise ValueError(f"level must be in [-1, 1], got {t}")
+    return math.acos(math.sqrt(0.5 * (1.0 + t)))
 
 
 def domain_report(p: SolitonParams, shape: ShapeType) -> DomainReport:

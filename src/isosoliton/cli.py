@@ -40,6 +40,7 @@ from .classifier import (
     classify,
     domain_report,
     grid_seeds,
+    shape_to_dict,
     sweep,
     sweep_to_dict,
 )
@@ -225,10 +226,9 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _shape_labels(trace) -> dict[str, str]:
+def _shape_labels(trace) -> dict:
     try:
-        shape = classify(trace)
-        return {"psi": shape.psi_type, "vprime": shape.vprime_type, "v": shape.v_type}
+        return shape_to_dict(classify(trace))
     except ValueError:
         return {"psi": "unclassified", "vprime": "unclassified", "v": "unclassified"}
 
@@ -261,7 +261,7 @@ def cmd_trace(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if "json" in formats:
         texts["trace.json"] = _json_text(trace_to_json(trace))
     if "svg" in formats:
-        figs = _svg.trace_figures(p, trace, _shape_labels(trace), plot)
+        figs = _svg.trace_figures(trace, _shape_labels(trace), plot)
         texts.update((f"{key}.svg", figs[key]) for key in ("psi", "vprime", "v"))
     written = [_write(args.out, name, text) for name, text in texts.items()]
     print(f"left: {trace.left_event.kind} at {trace.left_event.location:.6g}")

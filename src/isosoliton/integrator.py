@@ -167,9 +167,13 @@ class Crossing:
     r: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfTrace:
-    """Samples of one directed run, in integration order."""
+    """Samples of one directed run, in integration order.
+
+    Compares and hashes by identity, like Trace: its array fields have no
+    single truth value.
+    """
 
     params: SolitonParams
     seed: PhasePoint
@@ -181,13 +185,14 @@ class HalfTrace:
     stats: StepStats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """A maximal bidirectional run, samples strictly increasing in r.
 
     vprime is definitionally psi/(k sqrt(1-r^2)); v is the profile recovered
     by trapezoid quadrature of vprime with gauge v = 0 at the seed, which
-    must be one of the samples.
+    must be one of the samples.  Two traces compare and hash by identity,
+    since numpy arrays have no single truth value.
     """
 
     params: SolitonParams

@@ -22,7 +22,6 @@ therefore serves both the flat and the spherical residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,8 +62,12 @@ class IsoparametricFn:
     def __post_init__(self) -> None:
         if self.kind not in (ISO_K1, ISO_K2):
             raise ValueError(f"kind must be {ISO_K1!r} or {ISO_K2!r}, got {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
+        # type(...) is int, as in SolitonParams: 2.0, 1.5 or True passes the
+        # range checks, then fails as a numpy shape or index, or sets m2 = 0
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError(f"n must be an int >= 2, got {self.n!r}")
+        if self.l is not None and type(self.l) is not int:
+            raise ValueError(f"l must be an int, got {self.l!r}")
         if self.kind == ISO_K2:
             if self.l is None or not 1 <= self.l <= self.n:
                 raise ValueError(f"K2 needs 1 <= l <= n, got l={self.l}")
@@ -113,13 +116,6 @@ def iso_poly_lap(f: IsoparametricFn, x: np.ndarray) -> float:
     if f.kind == ISO_K1:
         return 0.0
     return 4.0 * f.l - 2.0 * (f.n + 1)
-
-
-def theta_of_level(t: float) -> float:
-    """Geodesic colatitude of the K2 level set r = t: arccos sqrt((1+t)/2)."""
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"level must be in [-1, 1], got {t}")
-    return math.acos(math.sqrt(0.5 * (1.0 + t)))
 
 
 @dataclass(frozen=True)

@@ -210,3 +210,26 @@ def test_derived_fields():
         if dataclasses.is_dataclass(obj):
             got[name] = " ".join(f.name for f in dataclasses.fields(obj) if not f.init)
     assert got == DERIVED_FIELDS
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The isosoliton modules that one module of the package imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "isosoliton":
+                continue
+            module = module.partition(".")[2]
+        names.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return names
+
+
+@pytest.mark.parametrize("module", ["catalog", "phase", "integrator", "classifier", "_svg"])
+def test_verify_and_cli_are_leaves(module):
+    """Nothing the integration and classification path is built from reads
+    the verification routes or the command line."""
+    imported = _sibling_imports(SRC / "isosoliton" / f"{module}.py")
+    assert imported.isdisjoint({"verify", "cli"}), imported

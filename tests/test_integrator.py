@@ -288,6 +288,17 @@ class TestMaximalTrace:
         with pytest.raises(ValueError):
             PhasePoint(1.2, 0.0)
 
+    @pytest.mark.parametrize("run", [
+        lambda: maximal_trace(P12, PhasePoint(0.1, 0.2), CFG),
+        lambda: integrate_from(P12, PhasePoint(0.1, 0.2), +1, CFG),
+    ], ids=["Trace", "HalfTrace"])
+    def test_compares_by_identity(self, run):
+        a, b = run(), run()
+        np.testing.assert_array_equal(a.psi, b.psi)
+        assert (a == b) is False
+        assert a == a
+        assert {a: 1, b: 2}[a] == 1
+
     @given(
         st.floats(min_value=-0.85, max_value=0.85),
         st.floats(min_value=-4.0, max_value=4.0),

@@ -133,6 +133,19 @@ class TestFamilies:
         with pytest.raises(ValueError):
             IsoparametricFn(ISO_K1, 3, l=1)
 
+    @pytest.mark.parametrize("kind, n, l, field", [
+        (ISO_K1, 2.0, None, "n"),
+        (ISO_K1, True, None, "n"),
+        (ISO_K2, 3, 1.5, "l"),
+        (ISO_K2, 3, True, "l"),
+        (ISO_K2, 3.0, 2, "n"),
+    ])
+    def test_integer_fields(self, kind, n, l, field):
+        # 2.0 == 2 and True == 1 would pass the range checks, then build
+        # multiplicities (1.0, 1.0) or a K2 family with m2 = 0
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            IsoparametricFn(kind, n, l)
+
     def test_ambient_gradient_exact(self):
         f = IsoparametricFn(ISO_K2, 4, l=2)
         rng = np.random.default_rng(3)
