@@ -109,16 +109,14 @@ def params_to_dict(p: SolitonParams) -> dict:
 def params_from_dict(d: dict) -> SolitonParams:
     """Rebuild and re-validate params from :func:`params_to_dict` output.
 
-    Every field must be integral, and the stored R is checked against the
-    recomputed value (tolerance 1e-12), so a hand-edited file cannot smuggle
-    in a truncated tuple or an inconsistent level.
+    An integral float field loads as its int; every other value goes to
+    :class:`SolitonParams` as it is, so a bool, a string or a non-integral
+    number is rejected there.  The stored R is checked against the
+    recomputed value (tolerance 1e-12), so a hand-edited file cannot
+    smuggle in an inconsistent level.
     """
-    fields = []
-    for key in ("k", "n", "m1", "m2"):
-        value = float(d[key])
-        if not value.is_integer():
-            raise ValueError(f"{key} must be integral, got {d[key]!r}")
-        fields.append(int(value))
+    fields = [int(v) if isinstance(v, float) and v.is_integer() else v
+              for v in (d[key] for key in ("k", "n", "m1", "m2"))]
     p = make_params(*fields)
     if "R" in d and not abs(float(d["R"]) - p.R) <= 1e-12:
         raise ValueError(

@@ -9,9 +9,10 @@ type that consumes it (``make_params``, ``IntegratorConfig``,
 ``PhasePoint``, ``endpoint_seed``, ``_svg.PlotConfig``,
 ``IsoparametricFn``, and ``check_crossing_tol`` for ``classify`` and
 ``sweep``); its ValueError becomes the usage error, before any
-integration starts.  Flags no library type takes (grids, ranges, counts,
-formats) are checked by their argparse converters, and ``--out`` (or
-``$ISOSOLITON_OUT``) first of all.  A numeric failure is any of
+integration starts.  Argparse decides which flags a command, or a
+``verify`` check, takes; flags no library type takes (grids, ranges,
+counts, formats) are checked by their argparse converters, and ``--out``
+(or ``$ISOSOLITON_OUT``) first of all.  A numeric failure is any of
 ``classifier.NUMERIC_FAILURES`` raised by the command itself; ``main``
 reports it once, as a JSON payload on stdout.
 """
@@ -130,10 +131,10 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_params_flags(ap: argparse.ArgumentParser, required: bool = True) -> None:
-    ap.add_argument("--k", type=int, required=required,
+def _add_params_flags(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--k", type=int, required=True,
                     help="degree of the foliation, one of 1,2,3,4,6")
-    ap.add_argument("--n", type=int, required=required, help="dimension of the sphere")
+    ap.add_argument("--n", type=int, required=True, help="dimension of the sphere")
     ap.add_argument("--m", type=int, default=None,
                     help="single multiplicity for k in {1,3,6}; defaults to n-1 when k=1")
     ap.add_argument("--m1", type=int, default=None, help="first multiplicity (k in {2,4})")
@@ -156,14 +157,17 @@ def _add_seed_flags(ap: argparse.ArgumentParser) -> None:
                     help="seed on the regular orbit next to this focal level instead")
 
 
+def _add_sample_flags(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--points", type=_positive_int, default=1000, help="number of samples")
+    ap.add_argument("--rng-seed", type=_non_negative_int, default=0)
+
+
 def _add_out_flag(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", default=None,
                     help=f"output directory (default: ${OUT_ENV} or the working directory)")
 
 
 def _params_from_args(ap: argparse.ArgumentParser, args: argparse.Namespace) -> SolitonParams:
-    if args.k is None:  # only verify leaves --k optional
-        ap.error(f"--check {args.check} requires --k/--n")
     m, m1, m2 = args.m, args.m1, args.m2
     if m is not None and (m1 is not None or m2 is not None):
         ap.error("--m conflicts with --m1/--m2")
@@ -388,29 +392,8 @@ def _check_endpoint_law(ap: argparse.ArgumentParser, args: argparse.Namespace) -
             "endpoints": devs, "tol": tol}, ok
 
 
-_PARAMS_FLAGS = ("k", "n", "m", "m1", "m2")
-# Each check and the verify flags it reads; giving it another is a usage error.
-VERIFY_CHECKS = {
-    "grim-reaper": (_check_grim_reaper, ("points", "rng_seed")),
-    "identities": (_check_identities, ("points", "rng_seed", "family", "n", "l")),
-    "ode-residual": (_check_ode_residual, ("points", "rng_seed", *_PARAMS_FLAGS)),
-    "endpoint-law": (_check_endpoint_law, _PARAMS_FLAGS),
-}
-# The verify flags and their defaults; the parser leaves a flag not given None.
-_VERIFY_DEFAULTS = {"points": 1000, "rng_seed": 0, "family": "k1", "l": None,
-                    "k": None, "n": 2, "m": None, "m1": None, "m2": None}
-
-
 def cmd_verify(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    check, reads = VERIFY_CHECKS[args.check]
-    unread = [f"--{dest.replace('_', '-')}" for dest in _VERIFY_DEFAULTS
-              if dest not in reads and getattr(args, dest) is not None]
-    if unread:
-        ap.error(f"--check {args.check} does not read {', '.join(unread)}")
-    for dest, default in _VERIFY_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    payload, ok = check(ap, args)
+    payload, ok = args.check(ap, args)
     payload["pass"] = ok
     path = _write(args.out, "verify.json", _json_text(payload))
     print(f"{'PASS' if ok else 'FAIL'}; wrote {path}")
@@ -510,15 +493,23 @@ def _parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run one of the built-in ground-truth checks")
-    v.add_argument("--check", required=True, choices=VERIFY_CHECKS)
-    v.add_argument("--points", type=_positive_int, help="default 1000")
-    v.add_argument("--rng-seed", type=_non_negative_int, help="default 0")
-    v.add_argument("--family", choices=("k1", "k2"), help="identities: family, default k1")
-    v.add_argument("--l", type=int, help="identities: k2 split index")
-    # optional here: ode-residual and endpoint-law need --k; --n defaults to 2
-    _add_params_flags(v, required=False)
-    _add_out_flag(v)
-    v.set_defaults(func=cmd_verify)
+    checks = v.add_subparsers(metavar="CHECK", required=True)
+    g = checks.add_parser("grim-reaper", help="the grim reaper solves the Euclidean graph equation")
+    _add_sample_flags(g)
+    i = checks.add_parser("identities", help="|grad r|^2 and Lap r of a concrete family")
+    _add_sample_flags(i)
+    i.add_argument("--family", choices=("k1", "k2"), default="k1")
+    i.add_argument("--n", type=int, default=2, help="dimension of the sphere")
+    i.add_argument("--l", type=int, default=None, help="k2 split index")
+    o = checks.add_parser("ode-residual", help="the profile ODE against the slope equation")
+    _add_sample_flags(o)
+    _add_params_flags(o)
+    e = checks.add_parser("endpoint-law", help="V'(+-1) of endpoint runs against its law")
+    _add_params_flags(e)
+    for c, check in ((g, _check_grim_reaper), (i, _check_identities),
+                     (o, _check_ode_residual), (e, _check_endpoint_law)):
+        _add_out_flag(c)
+        c.set_defaults(func=cmd_verify, check=check)
 
     d = sub.add_parser("domain", help="domain statement for a classified run")
     _add_params_flags(d)

@@ -191,7 +191,8 @@ class Trace:
 
     vprime is definitionally psi/(k sqrt(1-r^2)); v is the profile recovered
     by trapezoid quadrature of vprime with gauge v = 0 at the seed, which
-    must be one of the samples.  Two traces compare and hash by identity,
+    must be one of the samples.  crossings are the zero and guide-curve
+    crossings of psi, located on its Hermite model.  Two traces compare and hash by identity,
     since numpy arrays have no single truth value.
     """
 
@@ -205,7 +206,7 @@ class Trace:
     v: np.ndarray = field(init=False)
     left_event: TerminationEvent
     right_event: TerminationEvent
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[Crossing, ...] = field(init=False)
     step_stats: StepStats
 
     def __post_init__(self) -> None:
@@ -224,6 +225,7 @@ class Trace:
         v -= v[at_seed]
         object.__setattr__(self, "vprime", vprime)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "crossings", _find_crossings(self.params, r, self.psi, self.dpsi))
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -867,8 +869,7 @@ def _assemble(p: SolitonParams, seed: PhasePoint, cfg: IntegratorConfig,
     )
     return Trace(
         params=p, seed=seed, cfg=cfg, r=r, psi=psi, dpsi=dpsi,
-        left_event=left.event, right_event=right.event,
-        crossings=_find_crossings(p, r, psi, dpsi), step_stats=stats,
+        left_event=left.event, right_event=right.event, step_stats=stats,
     )
 
 

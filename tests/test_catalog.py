@@ -59,6 +59,16 @@ class TestValidation:
         k = params_to_dict(params_from_dict({"k": 2.0, "n": 3.0, "m1": 1.0, "m2": 1.0}))["k"]
         assert (k, type(k)) == (2, int)
 
+    @pytest.mark.parametrize("d", [{"k": True, "n": 2, "m1": 1, "m2": 1},
+                                   {"k": "2", "n": "3", "m1": "1", "m2": "1"}])
+    def test_dict_with_non_number_fields_rejected(self, d):
+        with pytest.raises(ValueError):
+            params_from_dict(d)
+
+    def test_dict_with_large_int_loads_exactly(self):
+        big = 2**53 + 1
+        assert params_from_dict({"k": 1, "n": big, "m1": big - 1, "m2": big - 1}).n == big
+
     def test_equal_multiplicity_enforced(self):
         for build in SPELLINGS:
             for k in (1, 3, 6):

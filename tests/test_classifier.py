@@ -143,7 +143,6 @@ def _synthetic_trace(left_kind, right_kind, psi_values):
         dpsi=np.zeros_like(r),
         left_event=TerminationEvent(kind=left_kind, location=-0.5),
         right_event=TerminationEvent(kind=right_kind, location=0.5),
-        crossings=(),
         step_stats=StepStats(accepted=len(psi_values), rejected=0,
                              min_step=0.1, max_step=0.1),
     )
@@ -423,8 +422,11 @@ class TestDerivedFields:
         lambda: SweepResult(P12, (), histogram={}),
         lambda: Trace(params=P12, seed=PhasePoint(0.0, 0.0), cfg=CFG, r=np.zeros(1),
                       psi=np.zeros(1), dpsi=np.zeros(1), vprime=np.zeros(1),
-                      left_event=None, right_event=None, crossings=(), step_stats=None),
-    ], ids=["ShapeType", "DomainReport", "SweepResult", "Trace"])
+                      left_event=None, right_event=None, step_stats=None),
+        lambda: Trace(params=P12, seed=PhasePoint(0.0, 0.0), cfg=CFG, r=np.zeros(1),
+                      psi=np.zeros(1), dpsi=np.zeros(1), left_event=None,
+                      right_event=None, crossings=(), step_stats=None),
+    ], ids=["ShapeType", "DomainReport", "SweepResult", "Trace", "Trace-crossings"])
     def test_derived_field_is_no_constructor_argument(self, build):
         with pytest.raises(TypeError, match="unexpected keyword"):
             build()
@@ -470,3 +472,9 @@ class TestDerivedFields:
         moved = dataclasses.replace(tr, psi=2.0 * tr.psi, dpsi=2.0 * tr.dpsi)
         assert np.array_equal(moved.vprime, 2.0 * tr.vprime)
         np.testing.assert_allclose(moved.v, 2.0 * tr.v, rtol=1e-12, atol=1e-15)
+
+    def test_trace_crossings_are_recomputed(self):
+        tr = maximal_trace(P23, PhasePoint(-0.2, 0.7), CFG)
+        moved = dataclasses.replace(tr, psi=tr.psi - 0.5)
+        assert moved.crossings != tr.crossings
+        assert moved.crossings == integrator._find_crossings(P23, tr.r, tr.psi - 0.5, tr.dpsi)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -133,6 +134,38 @@ class TestUsageErrors:
         assert e.value.code == EXIT_USAGE
 
 
+PARAMS_FLAGS = {"--k", "--n", "--m", "--m1", "--m2"}
+SEED_FLAGS = {"--seed-r", "--seed-psi", "--endpoint"}
+CFG_FLAGS = {"--tol", "--blowup-threshold", "--max-steps", "--epsilon"}
+SAMPLE_FLAGS = {"--points", "--rng-seed"}
+
+
+# The flags each command's --help lists besides --help: those it reads.
+HELP_FLAGS = {
+    "trace": PARAMS_FLAGS | SEED_FLAGS | CFG_FLAGS
+    | {"--out", "--formats", "--svg", "--overlays", "--ymax"},
+    "classify": PARAMS_FLAGS | SEED_FLAGS | CFG_FLAGS | {"--out", "--crossing-tol"},
+    "sweep": PARAMS_FLAGS | CFG_FLAGS | {"--out", "--grid", "--r-range", "--psi-range",
+                                         "--with-endpoints", "--workers", "--strict",
+                                         "--crossing-tol"},
+    "domain": PARAMS_FLAGS | SEED_FLAGS | CFG_FLAGS | {"--out", "--type", "--crossing-tol"},
+    "verify": set(),
+    "verify grim-reaper": SAMPLE_FLAGS | {"--out"},
+    "verify identities": SAMPLE_FLAGS | {"--out", "--family", "--n", "--l"},
+    "verify ode-residual": SAMPLE_FLAGS | PARAMS_FLAGS | {"--out"},
+    "verify endpoint-law": PARAMS_FLAGS | {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", HELP_FLAGS)
+def test_help_lists_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([*command.split(), "--help"])
+    assert e.value.code == EXIT_OK
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == HELP_FLAGS[command] | {"--help"}
+
+
 class TestClassify:
     def test_type_line_and_report(self, tmp_path, capsys):
         code, out = run_cli(
@@ -196,7 +229,7 @@ class TestSweep:
 class TestVerify:
     def test_grim_reaper(self, tmp_path, capsys):
         code, out = run_cli(
-            ["verify", "--check", "grim-reaper", "--points", "200"],
+            ["verify", "grim-reaper", "--points", "200"],
             tmp_path, capsys)
         assert code == EXIT_OK
         assert "PASS" in out
@@ -206,7 +239,7 @@ class TestVerify:
 
     def test_identities(self, tmp_path, capsys):
         code, out = run_cli(
-            ["verify", "--check", "identities", "--family", "k2",
+            ["verify", "identities", "--family", "k2",
              "--n", "4", "--l", "2", "--points", "100"],
             tmp_path, capsys)
         assert code == EXIT_OK
@@ -217,14 +250,14 @@ class TestVerify:
         out = tmp_path / "out"
         for check in ("endpoint-law", "ode-residual"):
             with pytest.raises(SystemExit) as e:
-                main(["verify", "--check", check, "--out", str(out)])
+                main(["verify", check, "--out", str(out)])
             assert e.value.code == EXIT_USAGE
-            assert f"--check {check} requires --k/--n" in capsys.readouterr().err
+            assert "the following arguments are required: --k, --n" in capsys.readouterr().err
             assert not out.exists()
 
     def test_endpoint_law(self, tmp_path, capsys):
         code, out = run_cli(
-            ["verify", "--check", "endpoint-law", "--k", "1", "--n", "2"],
+            ["verify", "endpoint-law", "--k", "1", "--n", "2"],
             tmp_path, capsys)
         assert code == EXIT_OK
         assert "PASS" in out
@@ -235,19 +268,21 @@ class TestVerify:
         (["grim-reaper", "--family", "k1"], "--family"),
         (["identities", "--points", "10", "--k", "2", "--family", "k1", "--n", "3"], "--k"),
         (["identities", "--m", "1"], "--m"),
-        (["ode-residual", "--k", "1", "--l", "2"], "--l"),
+        (["ode-residual", "--k", "1", "--n", "2", "--l", "2"], "--l"),
         (["endpoint-law", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
           "--points", "5", "--family", "k2", "--l", "9"], "--points, --family, --l"),
-        (["endpoint-law", "--k", "1", "--rng-seed", "0"], "--rng-seed"),
+        (["endpoint-law", "--k", "1", "--n", "2", "--rng-seed", "0"], "--rng-seed"),
     ])
     def test_flag_the_check_does_not_read(self, tmp_path, capsys, argv, unread):
-        """Each check reads the flags its VERIFY_CHECKS entry names; another
-        one is a usage error, even at its default value, before any output."""
+        """Each check's subcommand declares the flags it reads; another one
+        is a usage error, even at its default value, before any output."""
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as e:
-            main(["verify", "--check", *argv, "--out", str(out)])
+            main(["verify", *argv, "--out", str(out)])
         assert e.value.code == EXIT_USAGE
-        assert f"--check {argv[0]} does not read {unread}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments:" in err
+        assert [word for word in err.split() if word.startswith("--")] == unread.split(", ")
         assert not out.exists()
 
 
@@ -296,12 +331,12 @@ class TestFailurePaths:
         SWEEP_ARGV + ["--psi-range=-inf,inf"],
         SWEEP_ARGV + ["--psi-range=-1e308,1e308"],
         SWEEP_ARGV + ["--r-range=nan,0.5"],
-        ["verify", "--check", "identities", "--points", "0"],
-        ["verify", "--check", "ode-residual", "--k", "1", "--n", "2", "--points", "0"],
-        ["verify", "--check", "grim-reaper", "--points", "0"],
-        ["verify", "--check", "grim-reaper", "--points", "-1"],
-        ["verify", "--check", "identities", "--family", "k2", "--n", "3", "--l", "9"],
-        ["verify", "--check", "identities", "--family", "k2", "--n", "3"],
+        ["verify", "identities", "--points", "0"],
+        ["verify", "ode-residual", "--k", "1", "--n", "2", "--points", "0"],
+        ["verify", "grim-reaper", "--points", "0"],
+        ["verify", "grim-reaper", "--points", "-1"],
+        ["verify", "identities", "--family", "k2", "--n", "3", "--l", "9"],
+        ["verify", "identities", "--family", "k2", "--n", "3"],
         ["classify"] + TRACE_ARGV[1:] + ["--crossing-tol", "nan"],
         ["classify"] + TRACE_ARGV[1:] + ["--crossing-tol", "-1"],
         ["domain"] + TRACE_ARGV[1:] + ["--crossing-tol", "nan"],
@@ -310,8 +345,10 @@ class TestFailurePaths:
         SWEEP_ARGV + ["--crossing-tol", "-1"],
         TRACE_ARGV + ["--tol", "inf"],
         TRACE_ARGV + ["--blowup-threshold", "inf"],
-        ["verify", "--check", "grim-reaper", "--rng-seed", "-1"],
+        ["verify", "grim-reaper", "--rng-seed", "-1"],
         TRACE_ARGV + ["--svg", "--ymax", "9e307"],
+        ["verify", "endpoint-law", "--k", "2", "--m1", "1", "--m2", "1"],
+        ["verify", "ode-residual", "--n", "2"],
     ])
     def test_bad_flag_is_usage_error_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -522,15 +559,15 @@ REPORT_DIGESTS = [
      "96ab854709a61d7ca910c45c883813a8f928fb1200375a0c0bd566073bc194ea"),
     (["domain", "--k", "3", "--n", "4", "--m", "1", "--type", "VII"],
      "1ba192a201277e4e56ed3015c5e8196ca9dfd707a3b4d81cd0d6f164555f7c96"),
-    (["verify", "--check", "grim-reaper", "--points", "200"],
+    (["verify", "grim-reaper", "--points", "200"],
      "2e9ee93dad063875634169440ceffa6fe816c202e36b84212315ed67aacdea23"),
-    (["verify", "--check", "identities", "--family", "k2", "--n", "3", "--l", "2",
+    (["verify", "identities", "--family", "k2", "--n", "3", "--l", "2",
       "--points", "200"],
      "835ffc587d58dc28ad20e7320e239ac9eeda28a327753ec6c71111c5cdce8b66"),
-    (["verify", "--check", "ode-residual", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
+    (["verify", "ode-residual", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
       "--points", "200"],
      "9b5d88a91864d1e0c090aefbd4ed500be2629a14cabebdd5232b426ad4bda150"),
-    (["verify", "--check", "endpoint-law", "--k", "1", "--n", "2"],
+    (["verify", "endpoint-law", "--k", "1", "--n", "2"],
      "fba49c541b3bdedfc30f540129e45819be876c67dfc58d4df13a2774eef154a6"),
 ]
 

@@ -122,7 +122,7 @@ PUBLIC_PARAMETERS = {
     "SweepEntry": "seed shape error",
     "SweepResult": "params entries",
     "TerminationEvent": "kind location endpoint_vprime",
-    "Trace": "params seed cfg r psi dpsi left_event right_event crossings step_stats",
+    "Trace": "params seed cfg r psi dpsi left_event right_event step_stats",
     "alpha": "p r",
     "beta": "p r",
     "blowup_bound": "p r0 psi0 side",
@@ -186,7 +186,7 @@ DERIVED_FIELDS = {
     "SweepEntry": "",
     "SweepResult": "histogram unlisted errors",
     "TerminationEvent": "",
-    "Trace": "vprime v",
+    "Trace": "vprime v crossings",
 }
 
 

@@ -41,12 +41,20 @@ class TestRightHandSides:
         st.sampled_from([-1.0, 1.0]),
     )
     @settings(max_examples=100, deadline=None)
+    @example(r=0.4138154053769165, mag=1.1, sign=-1.0)  # near psi = eta on P23
     def test_u_rhs_is_the_reciprocal_square_chain_rule(self, r, mag, sign):
-        # u = 1/psi^2 gives u' = -2 psi' / psi^3
+        # u = 1/psi^2 gives u' = -2 psi' / psi^3.  Near the guide curve
+        # psi = eta the two drift terms cancel, so both sides keep only the
+        # rounding error of the summands: the absolute bound is 1e-12 of them.
         psi = sign * mag
+        u = psi**-2
+        one_minus_r2 = 1.0 - r * r
         for p in (P12, P23, P24):
             want = -2.0 * psi_rhs(p, r, psi) / psi**3
-            assert u_rhs(p, r, psi**-2, sign) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            summands = 2.0 * (1.0 + u) * (abs((p.n - 1) * (r - p.R))
+                                          + math.sqrt(one_minus_r2) * math.sqrt(u)) \
+                / (p.k * one_minus_r2)
+            assert u_rhs(p, r, u, sign) == pytest.approx(want, rel=1e-12, abs=1e-12 * summands)
 
     def test_u_rhs_clamps_past_the_pole(self):
         # past u = 0 only the (n-1)(r-R) drift remains
