@@ -465,7 +465,7 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--overlays", type=_comma_list, default=",".join(_svg.OVERLAY_CHOICES),
                    help="comma list from eta,zeta,R-line")
     t.add_argument("--ymax", type=float, default=None, help="symmetric vertical range for slope figures")
-    t.set_defaults(func=cmd_trace)
+    t.set_defaults(func=cmd_trace, parser=t)
 
     c = sub.add_parser("classify", help="integrate and name the shape type")
     _add_params_flags(c)
@@ -473,7 +473,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_cfg_flags(c)
     _add_out_flag(c)
     c.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)
-    c.set_defaults(func=cmd_classify)
+    c.set_defaults(func=cmd_classify, parser=c)
 
     s = sub.add_parser("sweep", help="classify a seed grid and histogram the types")
     _add_params_flags(s)
@@ -490,7 +490,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--strict", action="store_true",
                    help="exit 4 when an unlisted shape appears")
     s.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, parser=s)
 
     v = sub.add_parser("verify", help="run one of the built-in ground-truth checks")
     checks = v.add_subparsers(metavar="CHECK", required=True)
@@ -509,7 +509,7 @@ def _parser() -> argparse.ArgumentParser:
     for c, check in ((g, _check_grim_reaper), (i, _check_identities),
                      (o, _check_ode_residual), (e, _check_endpoint_law)):
         _add_out_flag(c)
-        c.set_defaults(func=cmd_verify, check=check)
+        c.set_defaults(func=cmd_verify, parser=c, check=check)
 
     d = sub.add_parser("domain", help="domain statement for a classified run")
     _add_params_flags(d)
@@ -519,14 +519,15 @@ def _parser() -> argparse.ArgumentParser:
     d.add_argument("--type", choices=ROMANS, default=None,
                    help="assert the expected type; VI/VII also pick their canonical seed")
     d.add_argument("--crossing-tol", type=float, default=DEFAULT_CROSSING_TOL)
-    d.set_defaults(func=cmd_domain)
+    d.set_defaults(func=cmd_domain, parser=d)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command's own parser, so that every usage error prints its usage
+    ap = args.parser
     _check_out(ap, args)
     try:
         return args.func(ap, args)

@@ -7,16 +7,21 @@ form needed here:
 * the step is capped by half the distance to the nearest focal level, so the
   walk can approach r = +-1 without ever evaluating the singular right-hand
   side outside (-1, 1);
-* blow-up is a first-class termination.  Once |psi| passes a moderate level
-  the same stepping loop carries u = 1/psi^2 instead of psi, in which the
-  pole is a regular zero (the variable of the comparison bound h1).  A step
-  that lands at u <= 0 has crossed the pole; the root of the step's cubic
-  Hermite model of u, polished by Newton iterations on the step, is
-  reported as the blow-up location.  Two fallbacks report the last accepted
-  sample instead: |psi| above ``blowup_threshold``, and the step collapsing
-  below ``STEP_COLLAPSE`` while the graph slope exceeds ``BLOWUP_SOFT`` and
-  |psi| is still growing.  The second ends runs jammed against r = +-1,
-  where psi can stay moderate up to the last step;
+* blow-up is a first-class termination.  Once |psi| passes ``U_ENTER`` = 4
+  the same stepping loop carries u = 1/psi^2 instead of psi (back below
+  ``U_LEAVE`` = 1), in which the pole is a regular zero (the variable of
+  the comparison bound h1): on the approach to a pole psi ~ (b - r)^(-1/2)
+  is steep while u is nearly linear.  While u is carried the error norm is
+  tol * ``U_TOL_FACTOR`` * (1 + |u|), with the factor 1e-2; it is absolute
+  at the pole, where u goes to zero, so the pole is placed to about that
+  error over |u'|.  A step that lands at u <= 0 has crossed the pole; the
+  root of the step's cubic Hermite model of u, polished by Newton
+  iterations on the step, is reported as the blow-up location.  Two
+  fallbacks report the last accepted sample instead: |psi| above
+  ``blowup_threshold``, and the step collapsing below ``STEP_COLLAPSE``
+  while the graph slope exceeds ``BLOWUP_SOFT`` and |psi| is still growing.
+  The second ends runs jammed against r = +-1, where psi can stay moderate
+  up to the last step;
 * reaching a focal level regularly is also a termination, with the profile
   derivative measured at the final sample.
 
@@ -77,8 +82,13 @@ CROSSING_ETA = "eta"
 # |psi| above which an accepted step switches the walk to u = 1/psi^2, and
 # below which it switches back; the gap between the two keeps a run that
 # hovers near one level from flapping between variables.
-U_ENTER = 100.0
-U_LEAVE = 25.0
+U_ENTER = 4.0
+U_LEAVE = 1.0
+# The error norm while u is carried is tol * U_TOL_FACTOR * (1 + |u|).  The
+# pair and the factor are the fastest point of a measured grid (U_ENTER 2, 4
+# and 8 with U_LEAVE a quarter of it, factors 1e-2 to 1e-4), which kept every
+# pole within 2e-10 of the same run at tol 1e-14.
+U_TOL_FACTOR = 1e-2
 
 # Bracket width at which crossing and pole bisection stop: about ten ulps
 # for |r| near 1, and a bounded iteration count near r = 0, where doubles
@@ -105,8 +115,11 @@ ENDPOINT_OFFSETS = (1e-5, 1e-6, 1e-7)
 class IntegratorConfig:
     """Tunables for the adaptive walk.
 
-    tol                per-step local error tolerance (mixed abs/rel, on
-                       psi or on u = 1/psi^2, whichever is carried).
+    tol                per-step local error tolerance, mixed abs/rel:
+                       tol * (1 + |psi|) while psi is carried, and
+                       tol * U_TOL_FACTOR * (1 + |u|), U_TOL_FACTOR = 1e-2,
+                       while u = 1/psi^2 is (from |psi| > U_ENTER = 4 until
+                       |psi| < U_LEAVE = 1).
     blowup_threshold   |psi| at which blow-up is declared outright, at the
                        last accepted sample (a fallback: the pole is
                        normally located as the zero of u first).
@@ -338,13 +351,14 @@ def integrate_from(
     """Run the adaptive walk from ``seed`` in one direction until an event.
 
     The walk carries psi, or u = 1/psi^2 while |psi| is large (entered above
-    ``U_ENTER``, left below ``U_LEAVE``); samples are always stored as
-    (r, psi, psi').
+    ``U_ENTER``, left below ``U_LEAVE``, with the error norm tightened by
+    ``U_TOL_FACTOR``); samples are always stored as (r, psi, psi').
     """
     # as floats: the kernel then multiplies float by float, the same values
     # as int by float without CPython's mixed-type path
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
+    tol_u = tol * U_TOL_FACTOR
     in_u = False
     sign = 1.0  # sgn psi while the walk carries u
     endpoint = float(direction)
@@ -377,7 +391,7 @@ def integrate_from(
                 scale = abs(y_new)
                 if not scale > abs(y):
                     scale = abs(y)
-                err_norm = abs(err) / (tol * (1.0 + scale))
+                err_norm = abs(err) / ((tol_u if in_u else tol) * (1.0 + scale))
             else:
                 err_norm = math.inf
 
@@ -478,6 +492,7 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
     """
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
+    tol_u = tol * U_TOL_FACTOR
     n_lanes = len(lanes)
     events: list[TerminationEvent | None] = [None] * n_lanes
     stats: list[StepStats | None] = [None] * n_lanes
@@ -566,7 +581,8 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             ay, ay7 = np.abs(y), np.abs(y7)
             scale = np.where(ay7 > ay, ay7, ay)
             err_norm = np.where(np.isfinite(y7) & np.isfinite(err),
-                                np.abs(err) / (tol * (1.0 + scale)), np.inf)
+                                np.abs(err) / (np.where(in_u, tol_u, tol) * (1.0 + scale)),
+                                np.inf)
             acc = err_norm <= 1.0
             ah = np.abs(h)
             st[_ACC] += acc

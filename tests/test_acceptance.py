@@ -2,7 +2,8 @@
 
 Each test prints CRITERION <n> PASS/FAIL with the measured worst case, at
 the stated tolerance, bypassing capture so the line always shows up in the
-run log.  Tolerances here are contractual; do not loosen them.
+run log.  Tolerances here are contractual; do not loosen them.  Beside them
+sits the closed-form side law of the poles, a companion of criterion 4.
 """
 
 import dataclasses
@@ -209,6 +210,22 @@ def test_criterion_04_blowup_bounds(capsys):
     _report(capsys, 4, ok,
             f"blow-up bounds over {runs} runs: worst location excess "
             f"{loc_excess:.3e} (tol 1e-6), worst pointwise margin {margin:.3e}")
+
+
+def test_pole_side_law(taxonomy_sweeps):
+    """u = 1/psi^2 falls to zero along a run that reaches a pole b, so
+    direction * u'(b) <= 0, where u'(b) = -2(n-1)(b - R)/(k(1 - b^2)).  Hence
+    (b - R) * direction > 0: every pole lies on the side of R the run heads
+    to (a closed-form law, needing no reference run)."""
+    poles = 0
+    for name, (p, seeds, res) in taxonomy_sweeps.items():
+        for entry in res.entries:
+            ev = entry.shape.evidence
+            for direction, event in ((-1, ev.left_event), (1, ev.right_event)):
+                if event.kind in (BLOWUP_PLUS, BLOWUP_MINUS):
+                    assert (event.location - p.R) * direction > 0.0, (name, entry.seed)
+                    poles += 1
+    assert poles > 1000
 
 
 def test_criterion_05_bounded_limit(capsys):

@@ -84,7 +84,7 @@ class TestSevenTypes:
 
     @pytest.mark.xfail(strict=True, reason=(
         "the run from the endpoint seed toward its own focal level amplifies "
-        "the seeding error by ~100^5 and ends at the step-collapse exit"))
+        "the seeding error by ~100^5 and ends at a false pole 1e-8 short of it"))
     def test_type_vi_endpoint_seed_k1_n11(self):
         p = make_params(1, 11, 10, 10)
         tr = maximal_trace(p, endpoint_seed(p, -1, CFG.epsilon), CFG)

@@ -133,6 +133,21 @@ class TestUsageErrors:
             main(["trace", "--k", "1", "--n", "2", "--out", str(tmp_path)] + flags)
         assert e.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["trace", "--k", "1", "--n", "2", "--seed-r", "0", "--seed-psi", "0", "--tol", "nan"],
+         "isosoliton trace"),
+        (["trace", "--k", "1", "--seed-r", "0", "--seed-psi", "0"], "isosoliton trace"),
+        (["sweep", "--k", "1", "--n", "2", "--r-range=-1,0.5"], "isosoliton sweep"),
+        (["verify", "identities", "--family", "k2", "--n", "3"], "isosoliton verify identities"),
+    ])
+    def test_error_prints_the_command_usage(self, tmp_path, capsys, argv, usage):
+        """A value a library type or a command rejects prints the usage line
+        of the command, as a value argparse rejects does."""
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert e.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage: {usage} [-h]")
+
 
 PARAMS_FLAGS = {"--k", "--n", "--m", "--m1", "--m2"}
 SEED_FLAGS = {"--seed-r", "--seed-psi", "--endpoint"}
@@ -440,123 +455,129 @@ GALLERY_RUNS = runpy.run_path(str(DEMOS / "figure_gallery.py"), run_name="galler
 
 # sha256 of the five trace artifacts, recorded with CPython 3.11 and numpy 2.4
 # on x86-64 Linux before the figures were drawn from arrays (trace.json again
-# when its "cfg" block went from six keys to five).  The k=1 n=2 seed (0, 0)
+# when its "cfg" block went from six keys to five), and all again when the walk
+# began to carry u = 1/psi^2 from |psi| > 4 under its own error norm.  The
+# k=1 n=2 seed (0, 0)
 # run straddles R, so its guide curves break at the pole; the two runs after
 # the gallery's draw them with a fixed range and each overlay alone.
 GALLERY_DIGESTS = {
     "k1_type_I": {
-        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
-        "psi.svg": "e366e6f060906d70858fd92701df2bc655fd11a0c407f4310e8f84f785a07757",
-        "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
-        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
+        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
+        "psi.svg": "c55a86036da4e60ec28c0a7cff5d89630905c0c0c83047d2fb6f771b1988ca6b",
+        "vprime.svg": "b9cd78ed3cbcf5414dbcb44c4a787ce6f3cfc8a90291e635937a07d0593e8d38",
+        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
     },
     "k1_type_II": {
-        "trace.csv": "4c67f829b560fd1eeaecc9be58a6074afdb4f6e542f3b870528e748056754bd6",
-        "trace.json": "9cd3a364df82c3c013f7e43bb362cf87a899f85c911672cb11198b0bdddb8ec9",
-        "psi.svg": "c37acb34c5e57f8ab6d6bc108dbcc7b5c875eb1a2e9d3c18ed0f9625871e880a",
-        "vprime.svg": "6a0b99ab0a7fa0d458051afce052ab3f04ffcd0ba2ad4b46f890ec7065cbf119",
-        "v.svg": "a84d95d0916afb4fa0b8c2167887e1b05c89cb9c16d2249f1e79a53189b5fd23",
+        "trace.csv": "4c9d91d832c00ff7ab291befbe1d275830e7933b4c078987dd686e828b2b2601",
+        "trace.json": "481d5bde86623893e239471002abb90c90c2232a393ea03a69d9d92d1536033f",
+        "psi.svg": "97c9058ea60aa0a49218afe098914f6b3ddcf7fb1a7e2a17fe71bedc63b1a10f",
+        "vprime.svg": "6bc42db823f72dac0d8feb7bea703427352fe3eddfa7382b6356a3d4df35f99c",
+        "v.svg": "418d053883c5a02976594f22d952fb625d7bdd6cfd52a3c368bb9363214fd12c",
     },
     "k1_type_VI": {
-        "trace.csv": "5a0e999d8dfd308a607b812c748791b548d795b0051776ba53246e7e29220291",
-        "trace.json": "36ef03e18587f5104c669d27ca705da24c36cce5cc49347f4c53b050536ce1ff",
-        "psi.svg": "0084ba82d8ff6ae2e831aeb1da26fb7d2f6e329bb7e2bdd6015f84773ad325e2",
-        "vprime.svg": "eadfc012aef9097efd489f2edbd20926362389d3d535ec614c7c5b12c17c2f7d",
-        "v.svg": "fb3321a94a933902be80a32ed754a7b0469aea77a1641bd6d6cd01b521948996",
+        "trace.csv": "9b92424c691207f9616fd95e5ade972dd45b176b8af92e78d7d56acac3b07be5",
+        "trace.json": "3503fe0f8135b809e347bacc59b7a351f2836f76581e7935964fa8e2277b28f0",
+        "psi.svg": "2b494448a622223d0a1d28f1eae2f5343bbf5e1ab5354103dc701c24323f7d44",
+        "vprime.svg": "442e86f5740598e9ccd80b541f8a0ffec6553da7e037fea6b39705c6db4394f4",
+        "v.svg": "66a8d4689a36596240bea9f8eafe1f9478520cba2ac569449d424cdc1c925efa",
     },
     "k2_type_IV": {
-        "trace.csv": "4a2688293ead686b3e5253f7236c2a96d01c5d1e0cd5518abdc7d382574665d3",
-        "trace.json": "f7233f290cf2d17ff525cb89937b7e067e16d16a9de739b5f06114e25bd2be7d",
-        "psi.svg": "b7582c197165c9047b46f27252ebf0f352afc0c61620beea698a246002f66ad6",
-        "vprime.svg": "1d871164e6eea6ae6fd3d2d5d82439e9aac05bb370401eaa815f38b69fcc1b80",
-        "v.svg": "58c7b3dc3c7eeac2f26963ef3a2df0acd7c4ad60566de95ae4c56e1ae828b54e",
+        "trace.csv": "0bab59703cc850e774f634695c704be5fec86e851ae450a87b6c9419dcc34d5c",
+        "trace.json": "7bfbd792d5b781e08bd7dd47796885fc3036a7d3f0ae0fe9643bdc4a4232c2bd",
+        "psi.svg": "73628989a152f3e852eeb46565d0aea8dc31b8f9ddff95a0e0e36f8b48566886",
+        "vprime.svg": "153874b7137feffb32a7009f903b20734ec6e36fcbab85c1e32b20d0830bfd53",
+        "v.svg": "fe78886962981261589be17f4f65bcc42123188a34216c65af55077a3c53828d",
     },
     "k2_type_VII": {
-        "trace.csv": "eb239f685764ca31218a6d1f9f53262c0351e42f65fce168c12a40a05186da0b",
-        "trace.json": "eec81ae69cc845acd23ab01f22b9f409b1455065a770dbae1db8e99eed630922",
-        "psi.svg": "187a35b097fe1483149883f350acc9d1c674c52a4f85cfc105d2dcd38bf34b17",
-        "vprime.svg": "f0f9357dfb61e3e08c9449698e7a1637d95e3360670e68bbb6909524b79bc5aa",
-        "v.svg": "ec9144c8e85e3ade1e4c65c3fec215ba2c3c1c02e1d3fcef6526dee2a27fc75f",
+        "trace.csv": "035a91558cbba4b31e138ac50c3d05205875b2695f3efc3a9e0d63b5f8d1488d",
+        "trace.json": "dbd7ce3ab7ac7f8c4f2f3f99cc712e3d78f17211ad12bb26a5da030be4013a16",
+        "psi.svg": "cce55509c2b78ae1703744073ca48c632e071439d9cd496fa89de193b6a3a950",
+        "vprime.svg": "49f576c9e3cba469f0ad3fd761bc08e3ebce96e2fec50ddbeba7dfe20abb8066",
+        "v.svg": "aee66c91df8b530725b2332aa2817afc86a541b38986f7d16420158504066f37",
     },
 }
 
 GOLDEN_ARTIFACTS = [(tail, GALLERY_DIGESTS[name]) for name, tail in GALLERY_RUNS] + [
     (K1_SEED0 + ["--ymax", "3", "--overlays", "eta"], {
-        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
-        "psi.svg": "38714e31513dbd0199e15fcb923a3d90160fb03ccc34e72fad4fce5111e074cd",
-        "vprime.svg": "179f3ed97b54a6a1080ed1719e241730bfc97706c9ea9b4f871941f1f6bec032",
-        "v.svg": "4e463428112d6004d0a7c5e96d386319dcc23eb3013511125eba91a3a00e1da3",
+        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
+        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
+        "psi.svg": "51f57c952df7ae5b840d8fa8c62a1903c70470e329207805d1dd3e20c4bfa8ef",
+        "vprime.svg": "b000c4945b077d30c852ac9aa591f6f042b1421b623b69e88c65ed372acd39fe",
+        "v.svg": "209cc2d065c017611e5a5508205d4f902355585bdc8bccdbc05f564f2b7b0d6f",
     }),
     (K1_SEED0 + ["--overlays", "zeta,R-line"], {
-        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
-        "psi.svg": "bf7e2acb1d33a4d7562d5bd17862be5765451088cd17681c7476b3abce3d0472",
-        "vprime.svg": "efc81acd6a3b7a75e80c1dd7b75dd1387b912a07a3580d6653d0b6bc82d45df7",
-        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
+        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
+        "psi.svg": "3b5479de66588cdaddb00ab74c79fc3877d0671c998f7b6956941d7b0bd3209b",
+        "vprime.svg": "b9cd78ed3cbcf5414dbcb44c4a787ce6f3cfc8a90291e635937a07d0593e8d38",
+        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
     }),
-    # Recorded before each figure path was formatted in one template: an
-    # endpoint seed, a pole at r = 0.99999993, and a ymax whose cap
+    # Recorded before each figure path was formatted in one template (and
+    # again with the u norm): an endpoint seed, a pole at r = 0.99999993, and
+    # a ymax whose cap
     # 10*ymax is inf, so that only the pole breaks lift the guide pens.
     (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"], {
-        "trace.csv": "d1c264a955c5cddca48554cf417ae254c493c884fbd737696933ece23bfca955",
-        "trace.json": "42a0d69a67c1ec096ac1d6d4234c2a3a1c213ffcd9d354dbeb89346936c92fe5",
-        "psi.svg": "7d89a2a9005c2f6ca659d0bdf5e388946151302a832af3baf28a78c7b3530355",
-        "vprime.svg": "d10e71ed6983bd7f9929809d5061231e87dfd2012600b596f58f1fdb5767dfa9",
-        "v.svg": "cde52a315cd4ded6ff3708e526f36e3126c3d60e8b2a4cf39cf78540b36e2f3f",
+        "trace.csv": "1bb7fee33e3fc352144239e41a7253dbf8635177c6c61400ded323ef204b0257",
+        "trace.json": "d099247c0c120f81678ab895ba7e53564057327af0ea575290b5c839669db8b6",
+        "psi.svg": "125fd648a3e02ad1eb30afeda534bfd7d1a85afc3dae665ed76a36db392c7928",
+        "vprime.svg": "bd00e5fcc7465e32eb2721ed27a8d943decd9f6067c4307df99370a5ab30ac70",
+        "v.svg": "8dc11fa63cae2bd394ba216dd1674f06a1ddc719c29293c416176c691571b4d5",
     }),
     (["--k", "2", "--n", "3", "--m", "1",
       "--seed-r", "-0.5966564091734834", "--seed-psi", "-1.7876768807877506"], {
-        "trace.csv": "fed1df8db28821077a7dca85a1f0eb4e0fee068dd642551c68f3cf945f071e8b",
-        "trace.json": "58f7a63814a59a2580b6f96d3c5b3b950549c66c8dcc06539b553245ce52c850",
-        "psi.svg": "d75966c277344be3d0418d38226826d2be2b76dbd50c53eef3d115a36e31c288",
-        "vprime.svg": "ffa14e1e6e93bfe020f1e68ec2473aa45bc6eaa6278414491bbbc408f140f84a",
-        "v.svg": "58195d65e0870540c7caad3b9832ed98df6695b3d27cb193719199c053785a5b",
+        "trace.csv": "2ac0a5cfba898162deeac1efac530ba1aaa88816374a36a78bf39d24d8ebb3a8",
+        "trace.json": "1547b35771b964db8ffec7a05f73c0a8090f2af47c0974d22f545c27e8d5a463",
+        "psi.svg": "86f2556047b68ed02ff52492d8aaa363c78ab3c0005c435f5c21b7170000961a",
+        "vprime.svg": "914d9d0138bbc160f98634e4ea05701f11c115181a016e2c8481a5451db3c856",
+        "v.svg": "bb77e8b353beacbf8efca1350bca467af7a26f069d21213c10fcd680afb75a14",
     }),
     (K1_SEED0 + ["--ymax", "8.9e307"], {
-        "trace.csv": "51ba4d26f264879d04dbb72491c380555dcf14babdd092f242ca40e201c778df",
-        "trace.json": "719b3e3d9fbdabe048b25b63fd4c0106cf552c9e7a0c01af91de7302c480a972",
-        "psi.svg": "615bae4ceb6047f8e015811a93a7c460e013dd8354dd24dc17dd5dac2cd4275b",
-        "vprime.svg": "a70d6d2de67396d5bc44d3b545a35e06488d08f10b8d6464e8aa2d476ee16c0b",
-        "v.svg": "961cf9e68e5fe50ebec5227202551ee54d9bc0fbd9a1c922f6c874ecdb0d61b7",
+        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
+        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
+        "psi.svg": "236f6866bf52bdd53ac6a949d44811b23e7f57033a15ca6ed0cf36299e166ac3",
+        "vprime.svg": "b60651095e1f42b02ce4ddc40aceb7fae2f52df49453f4863d873752d444d667",
+        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
     }),
 ]
 
 
 # sha256 of sweep.json, recorded with CPython 3.11.7 and numpy 2.4.6 on
-# x86-64 Linux while sweeps still integrated seed by seed: the 443-seed k=2
+# x86-64 Linux while sweeps still integrated seed by seed (and again when the
+# walk began to carry u from |psi| > 4 under its own norm): the 443-seed k=2
 # grid now runs as one lockstep block in process, and the k=1 grid as one
 # lockstep block per worker (or one in process on a single CPU).
 SWEEP_DIGESTS = [
     (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--with-endpoints"],
-     "c82faddf2bc9ca40e06b42c1b72e9cadbff3c29987abda0e4f59ed1ac11cef3d"),
+     "d0b1ec14a64127042345ac5208c6209f69e9e19067563d6c37e043e53066d012"),
     (["--k", "1", "--n", "2", "--with-endpoints", "--workers", "2"],
-     "5b887d3622e0956b33f1e1806a556a79636e97f4c7c3f6b475d8ea9f96816c21"),
+     "bb013caca6a027c32f798cfc6ca3b32484fcf76e27d99776f3c3d73c47bed3e7"),
 ]
 
 
 # sha256 of the classify, domain and verify reports, recorded with CPython
 # 3.11.7 and numpy 2.4.6 on x86-64 Linux before the domain statement and the
-# verify dispatch were each written as one rule.  Between them the domain
+# verify dispatch were each written as one rule; the reports that hold a pole
+# location again when the walk began to carry u from |psi| > 4 under its own
+# norm.  Between them the domain
 # runs cover every k = 2 case: an interior type, VI and VII, with and
 # without n = 3.
 REPORT_DIGESTS = [
     (["classify", "--k", "1", "--n", "2", "--seed-r", "-0.63", "--seed-psi", "0.5"],
-     "1e3180e747ee402c8b2b637b8fd7daeb324f9186d216469453528b29069f330e"),
+     "7c56895e42f7555d63926fd022925bb2c4db32bb3e7f1718b15318c516f54ea1"),
     (["classify", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"],
-     "15689edd0cd25f5197a19339fcfb8e415139f1c4d8f08079169776c664077127"),
+     "f22fa311801904bd364c256cd8baaea1f9b5436d52dc57501bbb21ff6d0907fd"),
     (["classify", "--k", "3", "--n", "4", "--m", "1", "--seed-r", "0.2", "--seed-psi", "0.5"],
-     "ea659e8a55e0c6d9e39ac2e4f7641220369e2b1dee25f75c9f3ae58a6622cf7a"),
+     "95fc2a584eaaccae3697811738b916725ae2a81ef2774b9fda7cc584d966fc0d"),
     (["domain", "--k", "1", "--n", "2", "--type", "VI"],
      "99c860fbcf0489a495779df7d6e8bdb526a79beb27be884fd421ccd6ca243728"),
     (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--type", "VII"],
-     "5a847df339a9a151179c34b8e86eb01b01ab4a968d03d03b2c3f3780ec78503c"),
+     "232dc9944f68d62065acf632e7cb36a75bcf3afa2cb19b25aa189cb171bc3745"),
     (["domain", "--k", "2", "--n", "4", "--m1", "2", "--m2", "1", "--type", "VI"],
-     "081053cd8d3070e4f8ff49e0d7ee419586e8e49757f72540cd3e313a44eae298"),
+     "27e6aaee319b7bb59e2d6d351dd164d8cd2a6ef7babef0888a89c85dd5718add"),
     (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
       "--seed-r", "-0.5", "--seed-psi", "0.3"],
-     "96ab854709a61d7ca910c45c883813a8f928fb1200375a0c0bd566073bc194ea"),
+     "b094d5ac92ae6361fdcc0332c6dc134a944791eec5f77cd2f6ee8f981af2441a"),
     (["domain", "--k", "3", "--n", "4", "--m", "1", "--type", "VII"],
      "1ba192a201277e4e56ed3015c5e8196ca9dfd707a3b4d81cd0d6f164555f7c96"),
     (["verify", "grim-reaper", "--points", "200"],
