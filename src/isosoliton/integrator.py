@@ -7,16 +7,18 @@ form needed here:
 * the step is capped by half the distance to the nearest focal level, so the
   walk can approach r = +-1 without ever evaluating the singular right-hand
   side outside (-1, 1);
-* blow-up is a first-class termination.  Once |psi| passes ``U_ENTER`` = 4
-  the same stepping loop carries u = 1/psi^2 instead of psi (back below
-  ``U_LEAVE`` = 1), in which the pole is a regular zero (the variable of
-  the comparison bound h1): on the approach to a pole psi ~ (b - r)^(-1/2)
-  is steep while u is nearly linear.  While u is carried the error norm is
-  tol * ``U_TOL_FACTOR`` * (1 + |u|), with the factor 1e-2; it is absolute
-  at the pole, where u goes to zero, so the pole is placed to about that
-  error over |u'|.  A step that lands at u <= 0 has crossed the pole; the
-  root of the step's cubic Hermite model of u, polished by Newton
-  iterations on the step, is reported as the blow-up location.  Two
+* blow-up is a first-class termination.  Once an accepted step lands at
+  |psi| > ``TAIL_ENTER`` = 4 where |(n-1)(r - R) psi| >= 2 sqrt(1 - r^2)
+  (the tail guard), the walk swaps variable and value: the tail carries r
+  as a function of s = 1/psi (``phase.s_rhs``), and hands back to psi once
+  |psi| < ``TAIL_LEAVE`` = 1 or the guard fails.  The guard keeps the
+  denominator of dr/ds at least half its first term, so no zero or
+  guide-curve crossing falls in the tail.  A pole b != R is the regular
+  point s = 0, r = b, and the tail lands on it as the psi walk lands on its
+  stop radius: first on |s| = ``S_LAND``, which is the last sample, then on
+  s = 0, whose r is the blow-up location.  In the tail the error norm is
+  tol * (1 + |r|), the step is capped so that its change of r obeys the
+  caps above, and a step whose change of r exceeds them is rejected.  Two
   fallbacks report the last accepted sample instead: |psi| above
   ``blowup_threshold``, and the step collapsing below ``STEP_COLLAPSE``
   while the graph slope exceeds ``BLOWUP_SOFT`` and |psi| is still growing.
@@ -35,30 +37,31 @@ coarse seed.  Covering a fixed fraction of the initial gap instead (stop at
 linearly in epsilon, which ``endpoint_vprime_extrapolated`` then cancels
 by extrapolating from the offsets ``ENDPOINT_OFFSETS``.
 
-The stepping kernel ``_dp5`` is the Dormand-Prince stages unrolled with
-the right-hand side inlined; ``in_u`` picks, stage by stage, the line of
-``phase.psi_rhs`` or of ``phase.u_rhs``.  Each line repeats the
-floating-point operations of its function in the same order, so a step is
-bit for bit the tableau walked over it, and those functions stay the
-reference (the tests hold the kernel to it).
+The stepping kernels ``_dp5`` (psi in r) and ``_dp5_s`` (r in s) are the
+Dormand-Prince stages unrolled with ``phase.psi_rhs`` and ``phase.s_rhs``
+inlined.  Each line repeats the floating-point operations of its function
+in the same order, so a step is bit for bit the tableau walked over it, and
+those functions stay the reference (the tests hold the kernels to them).
 
 ``_integrate_lanes`` is the lockstep walk a large sweep block runs: it
-advances many (seed, direction) lanes at once, one attempted step of every
-running lane per iteration, with numpy arrays in place of the scalar loop
-of :func:`integrate_from`.  Its contract is that every lane's HalfTrace is
-byte for byte the one ``integrate_from`` returns.  So each stage repeats the
-floating-point operations of ``_dp5`` in the same order (elementwise IEEE
-arithmetic and sqrt round as Python's do); min and max are ``np.where`` on
-the scalar code's comparison, never ``np.minimum`` or ``np.maximum``; and
-the step factor ``err_norm ** -0.2`` is ``np.float_power``, which matches
-Python's ``**``, where ``np.power`` may take a SIMD path that differs in the
-last bit.  The rules around the stepping are stated once, as functions both
-walks call: how a run starts (``_start``), each exit (``_endpoint_event``,
-``_blowup_event``, ``_collapse_event`` and ``_budget_event``), and the step
-counts (``_step_stats``).  Single traces keep the scalar walk, which is also
-the lockstep's reference in the tests.
+advances many (seed, direction) lanes at once, one attempted psi step of
+every running lane per iteration, with numpy arrays in place of the scalar
+loop of :func:`integrate_from`.  Its contract is that every lane's HalfTrace
+is byte for byte the one ``integrate_from`` returns.  So each stage repeats
+the floating-point operations of ``_dp5`` in the same order (elementwise
+IEEE arithmetic and sqrt round as Python's do); min and max are
+``np.where`` on the scalar code's comparison, never ``np.minimum`` or
+``np.maximum``; and the step factor ``err_norm ** -0.2`` is
+``np.float_power``, which matches Python's ``**``, where ``np.power`` may
+take a SIMD path that differs in the last bit.  A lane whose step meets the
+tail entry leaves the lockstep, and ``_walk``, the scalar walk that
+``integrate_from`` runs too, resumes it from that state.  The other rules
+around the stepping are stated once, as functions both walks call: how a
+run starts (``_start``), the tail entry (``_tail_guard``), each exit
+(``_endpoint_event``, ``_blowup_event``, ``_collapse_event`` and
+``_budget_event``), and the step counts (``_step_stats``).  Single traces
+keep the scalar walk, which is also the lockstep's reference in the tests.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -69,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import SolitonParams, params_to_dict
-from .phase import PhasePoint, _bisect, _eta_samples, eta, psi_rhs, u_rhs
+from .phase import PhasePoint, _bisect, _eta_samples, eta, psi_rhs, s_rhs
 
 REGULAR_ENDPOINT = "RegularEndpoint"
 BLOWUP_PLUS = "BlowUpPlus"
@@ -79,23 +82,19 @@ BUDGET_EXHAUSTED = "BudgetExhausted"
 CROSSING_ZERO = "zero"
 CROSSING_ETA = "eta"
 
-# |psi| above which an accepted step switches the walk to u = 1/psi^2, and
-# below which it switches back; the gap between the two keeps a run that
-# hovers near one level from flapping between variables.
-U_ENTER = 4.0
-U_LEAVE = 1.0
-# The error norm while u is carried is tol * U_TOL_FACTOR * (1 + |u|).  The
-# pair and the factor are the fastest point of a measured grid (U_ENTER 2, 4
-# and 8 with U_LEAVE a quarter of it, factors 1e-2 to 1e-4), which kept every
-# pole within 2e-10 of the same run at tol 1e-14.
-U_TOL_FACTOR = 1e-2
+# |psi| above which an accepted psi step enters the blow-up tail, if the
+# tail guard holds there, and below which the tail hands back to psi.
+TAIL_ENTER = 4.0
+TAIL_LEAVE = 1.0
+# |s| = 1/|psi| the tail lands on before it lands on the pole s = 0, so the
+# last sample of a run that ends at a pole sits at |psi| = 1/S_LAND.
+S_LAND = 1e-3
 
-# Bracket width at which crossing and pole bisection stop: about ten ulps
-# for |r| near 1, and a bounded iteration count near r = 0, where doubles
-# are dense.
+# Bracket width at which crossing bisection stops: about ten ulps for |r|
+# near 1, and a bounded iteration count near r = 0, where doubles are dense.
 ROOT_TOL = 1e-15
-# Newton polish steps on a located pole (see _locate_pole).
-POLE_NEWTON_ITERS = 3
+# Newton steps that polish a zero crossing on the step from its left sample.
+CROSSING_NEWTON_ITERS = 3
 
 # Absolute gap at which a focal level counts as reached.
 ENDPOINT_TOL = 1e-12
@@ -117,12 +116,13 @@ class IntegratorConfig:
 
     tol                per-step local error tolerance, mixed abs/rel:
                        tol * (1 + |psi|) while psi is carried, and
-                       tol * U_TOL_FACTOR * (1 + |u|), U_TOL_FACTOR = 1e-2,
-                       while u = 1/psi^2 is (from |psi| > U_ENTER = 4 until
-                       |psi| < U_LEAVE = 1).
+                       tol * (1 + |r|) on r while the blow-up tail carries
+                       r as a function of s = 1/psi (from |psi| >
+                       TAIL_ENTER = 4 under the tail guard until |psi| <
+                       TAIL_LEAVE = 1 or the guard fails).
     blowup_threshold   |psi| at which blow-up is declared outright, at the
-                       last accepted sample (a fallback: the pole is
-                       normally located as the zero of u first).
+                       last accepted sample (a fallback: the tail normally
+                       lands on the pole s = 0 first).
     max_steps          attempted-step budget per direction; a trace keeps
                        every accepted sample, at most 2 * max_steps + 1.
     epsilon            default focal-level offset for endpoint seeds.
@@ -156,9 +156,9 @@ class TerminationEvent:
     ``endpoint_vprime`` is set only for RegularEndpoint events and holds the
     profile derivative psi/(k sqrt(1-r^2)) measured at the last accepted
     sample.  ``location`` is +-1 exactly for RegularEndpoint; for a blow-up
-    it is the located pole (the zero of u = 1/psi^2 within the last step),
-    or the last accepted r when a fallback exit fired; for BudgetExhausted
-    it is the last accepted r.
+    it is the pole, the r at which the tail lands on s = 1/psi = 0, beyond
+    the last sample, or the last accepted r when a fallback exit fired; for
+    BudgetExhausted it is the last accepted r.
     """
 
     kind: str
@@ -202,11 +202,13 @@ class HalfTrace:
 class Trace:
     """A maximal bidirectional run, samples strictly increasing in r.
 
-    vprime is definitionally psi/(k sqrt(1-r^2)); v is the profile recovered
-    by trapezoid quadrature of vprime with gauge v = 0 at the seed, which
-    must be one of the samples.  crossings are the zero and guide-curve
-    crossings of psi, located on its Hermite model.  Two traces compare and hash by identity,
-    since numpy arrays have no single truth value.
+    vprime is definitionally psi/(k sqrt(1-r^2)); v is the profile
+    recovered by quadrature of vprime with gauge v = 0 at the seed, which
+    must be one of the samples: in r, or in s = 1/psi over the segments of
+    a blow-up tail (see ``_profile_increments``).  crossings are the zero
+    and guide-curve crossings of psi, located on its Hermite model and, for
+    zeros, polished on the integration step.  Two traces compare and hash
+    by identity, since numpy arrays have no single truth value.
     """
 
     params: SolitonParams
@@ -228,12 +230,7 @@ class Trace:
         if at_seed == len(r) or r[at_seed] != self.seed.r:
             raise ValueError(f"the seed level r={self.seed.r} is not a sample of the trace")
         vprime, dvprime = _profile_slopes(self.params.k, r, self.psi, self.dpsi)
-        # Trapezoid with the Hermite endpoint correction h^2/12 (f'_0 - f'_1);
-        # the derivative of vprime comes for free from the stored slope
-        # derivatives, and the correction buys two orders in the sample spacing.
-        h_i = np.diff(r)
-        dv = 0.5 * (vprime[1:] + vprime[:-1]) * h_i \
-            - h_i * h_i / 12.0 * (dvprime[1:] - dvprime[:-1])
+        dv = _profile_increments(self.params, r, self.psi, vprime, dvprime)
         v = np.concatenate([[0.0], np.cumsum(dv)])
         v -= v[at_seed]
         object.__setattr__(self, "vprime", vprime)
@@ -342,6 +339,41 @@ def _step_stats(accepted: int, rejected: int, hmin: float, hmax: float) -> StepS
                      max_step=hmax if accepted else 0.0)
 
 
+def _tail_guard(n1: float, R: float, r, psi):
+    """Whether the blow-up tail may carry (r, psi): |(n-1)(r - R) psi| >=
+    2 sqrt(1 - r^2), so the denominator (n-1)(r - R) + sqrt(1 - r^2) s of
+    dr/ds is at least half its first term.  Squared, so that floats and
+    numpy arrays (elementwise) take the same operations."""
+    t = n1 * (r - R) * psi
+    return t * t >= 4.0 * (1.0 - r * r)
+
+
+@dataclass(slots=True)
+class _Run:
+    """A directed run in progress: its settings, the state after its last
+    accepted step (``h`` is the next step of r), the attempts it has left,
+    its step counts and the samples it stored."""
+
+    p: SolitonParams
+    cfg: IntegratorConfig
+    endpoint: float
+    r_stop: float
+    slack: float
+    r: float
+    psi: float
+    dpsi: float
+    h: float
+    prev_abs_psi: float
+    attempts: int
+    accepted: int
+    rejected: int
+    hmin: float
+    hmax: float
+    rs: list[float]
+    ys: list[float]
+    ds: list[float]
+
+
 def integrate_from(
     p: SolitonParams,
     seed: PhasePoint,
@@ -350,109 +382,223 @@ def integrate_from(
 ) -> HalfTrace:
     """Run the adaptive walk from ``seed`` in one direction until an event.
 
-    The walk carries psi, or u = 1/psi^2 while |psi| is large (entered above
-    ``U_ENTER``, left below ``U_LEAVE``, with the error norm tightened by
-    ``U_TOL_FACTOR``); samples are always stored as (r, psi, psi').
+    The walk carries psi, and in the blow-up tail r as a function of
+    s = 1/psi (entered above ``TAIL_ENTER`` where the tail guard holds, left
+    below ``TAIL_LEAVE`` or where it fails); samples are always stored as
+    (r, psi, psi').
     """
+    r, psi = seed.r, seed.psi
+    endpoint = float(direction)
+    start = _start(r, direction, cfg.max_step)
+    dpsi = psi_rhs(p, r, psi)
+    if start is None:
+        return HalfTrace(params=p, seed=seed, direction=direction, r=np.array([r]),
+                         psi=np.array([psi]), dpsi=np.array([dpsi]),
+                         event=_endpoint_event(float(p.k), endpoint, r, psi),
+                         stats=_step_stats(0, 0, 0.0, 0.0))
+    r_stop, slack, h = start
+    run = _Run(p, cfg, endpoint, r_stop, slack, r, psi, dpsi, h, abs(psi), cfg.max_steps,
+               0, 0, math.inf, 0.0, [r], [psi], [dpsi])
+    event = _walk(run, False)
+    return HalfTrace(
+        params=p, seed=seed, direction=direction,
+        r=np.asarray(run.rs), psi=np.asarray(run.ys), dpsi=np.asarray(run.ds),
+        event=event, stats=_step_stats(run.accepted, run.rejected, run.hmin, run.hmax),
+    )
+
+
+def _walk(run: _Run, tail: bool) -> TerminationEvent:
+    """Advance ``run`` to its exit, psi steps (``_body``) and tail steps
+    (``_tail``) in turn, starting with the tail if ``tail``.  Every scalar
+    run starts here, and the lockstep resumes here a lane that enters the
+    tail."""
+    while True:
+        event = _tail(run) if tail else _body(run)
+        if event is not None:
+            return event
+        tail = not tail
+
+
+def _body(run: _Run) -> TerminationEvent | None:
+    """Psi steps from the run's state until an exit, which is returned, or
+    until an accepted step meets the tail entry, which returns None."""
+    p, cfg = run.p, run.cfg
     # as floats: the kernel then multiplies float by float, the same values
     # as int by float without CPython's mixed-type path
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
-    tol_u = tol * U_TOL_FACTOR
-    in_u = False
-    sign = 1.0  # sgn psi while the walk carries u
-    endpoint = float(direction)
+    endpoint, r_stop, slack = run.endpoint, run.r_stop, run.slack
+    r, y, k1, h, prev_abs_psi = run.r, run.psi, run.dpsi, run.h, run.prev_abs_psi
+    rs, ys, ds = run.rs, run.ys, run.ds
+    accepted, rejected, hmin_seen, hmax_seen = run.accepted, run.rejected, run.hmin, run.hmax
+    event = None
+    attempt = 0
+    # min/max are spelled as comparisons that pick the same operand.
+    for attempt in range(1, run.attempts + 1):
+        hcap = 0.5 * abs(endpoint - r)
+        if not hcap < max_step:
+            hcap = max_step
+        if abs(h) > hcap:
+            h = endpoint * hcap
+        if (r + h - r_stop) * endpoint >= 0.0:
+            h = r_stop - r
 
-    r, y = seed.r, seed.psi
-    psi = y
-    start = _start(r, direction, max_step)
-    k1 = psi_rhs(p, r, y)
-    rs, ys, ds = [r], [y], [k1]
-    accepted = rejected = 0
-    hmin_seen, hmax_seen = math.inf, 0.0
-
-    if start is None:
-        event = _endpoint_event(k, endpoint, r, psi)
-    else:
-        r_stop, slack, h = start
-        prev_abs_psi = abs(psi)
-        # min/max are spelled as comparisons that pick the same operand.
-        for _attempt in range(cfg.max_steps):
-            hcap = 0.5 * abs(endpoint - r)
-            if not hcap < max_step:
-                hcap = max_step
-            if abs(h) > hcap:
-                h = endpoint * hcap
-            if (r + h - r_stop) * endpoint >= 0.0:
-                h = r_stop - r
-
-            y_new, err, d_new = _dp5(n1, R, k, sign, in_u, r, y, k1, h)
-            if math.isfinite(y_new) and math.isfinite(err):
-                scale = abs(y_new)
-                if not scale > abs(y):
-                    scale = abs(y)
-                err_norm = abs(err) / ((tol_u if in_u else tol) * (1.0 + scale))
-            else:
-                err_norm = math.inf
-
-            if err_norm <= 1.0:
-                r_new = r + h
-                accepted += 1
-                ah = abs(h)
-                if ah < hmin_seen:
-                    hmin_seen = ah
-                if ah > hmax_seen:
-                    hmax_seen = ah
-                if in_u and y_new <= 0.0:  # the step crossed the pole
-                    pole = _locate_pole(n1, R, k, sign, r, y, k1, r_new, y_new, d_new)
-                    event = _blowup_event(sign > 0.0, pole)
-                    break
-                prev_abs_psi = abs(psi)
-                r, y, k1 = r_new, y_new, d_new
-                if in_u:
-                    psi = sign / math.sqrt(y)
-                    dpsi = psi_rhs(p, r, psi)
-                else:
-                    psi, dpsi = y, k1
-                rs.append(r)
-                ys.append(psi)
-                ds.append(dpsi)
-
-                if abs(psi) >= threshold:
-                    event = _blowup_event(psi > 0.0, r)
-                    break
-                if abs(endpoint - r) <= slack:
-                    event = _endpoint_event(k, endpoint, r, psi)
-                    break
-
-                if not in_u and abs(psi) > U_ENTER:
-                    in_u = True
-                    sign = math.copysign(1.0, psi)
-                    y = 1.0 / (psi * psi)
-                    k1 = u_rhs(p, r, y, sign)
-                elif in_u and abs(psi) < U_LEAVE:
-                    in_u = False
-                    y, k1 = psi, dpsi
-            else:
-                rejected += 1
-
-            if err_norm == 0.0:
-                h *= 5.0
-            else:
-                factor = 0.9 * err_norm ** -0.2
-                h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
-
-            if abs(h) < STEP_COLLAPSE:
-                event = _collapse_event(k, r, psi, prev_abs_psi)
-                break
+        y_new, err, d_new = _dp5(n1, R, k, r, y, k1, h)
+        if math.isfinite(y_new) and math.isfinite(err):
+            scale = abs(y_new)
+            if not scale > abs(y):
+                scale = abs(y)
+            err_norm = abs(err) / (tol * (1.0 + scale))
         else:
-            event = _budget_event(r)
+            err_norm = math.inf
 
-    return HalfTrace(
-        params=p, seed=seed, direction=direction,
-        r=np.asarray(rs), psi=np.asarray(ys), dpsi=np.asarray(ds),
-        event=event, stats=_step_stats(accepted, rejected, hmin_seen, hmax_seen),
-    )
+        enter = False
+        if err_norm <= 1.0:
+            accepted += 1
+            ah = abs(h)
+            if ah < hmin_seen:
+                hmin_seen = ah
+            if ah > hmax_seen:
+                hmax_seen = ah
+            prev_abs_psi = abs(y)
+            r, y, k1 = r + h, y_new, d_new
+            rs.append(r)
+            ys.append(y)
+            ds.append(k1)
+
+            if abs(y) >= threshold:
+                event = _blowup_event(y > 0.0, r)
+                break
+            if abs(endpoint - r) <= slack:
+                event = _endpoint_event(k, endpoint, r, y)
+                break
+            enter = abs(y) > TAIL_ENTER and _tail_guard(n1, R, r, y)
+        else:
+            rejected += 1
+
+        if err_norm == 0.0:
+            h *= 5.0
+        else:
+            factor = 0.9 * err_norm ** -0.2
+            h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
+
+        if abs(h) < STEP_COLLAPSE:
+            event = _collapse_event(k, r, y, prev_abs_psi)
+            break
+        if enter:
+            break
+    else:
+        event = _budget_event(r)
+
+    run.r, run.psi, run.dpsi, run.h, run.prev_abs_psi = r, y, k1, h, prev_abs_psi
+    run.attempts -= attempt
+    run.accepted, run.rejected, run.hmin, run.hmax = accepted, rejected, hmin_seen, hmax_seen
+    return event
+
+
+def _tail(run: _Run) -> TerminationEvent | None:
+    """Steps of r in s = 1/psi from the run's state, toward the pole s = 0
+    or away from it, until an exit, which is returned, or until |psi| falls
+    below ``TAIL_LEAVE`` or the tail guard fails, which returns None.
+
+    The step sigma of s is capped so that its change of r, predicted as
+    sigma * dr/ds times ``grow``, the ratio of the change to that product on
+    the last attempt, obeys the caps of the psi walk; a step whose change of
+    r exceeds them is rejected.  (Away from the pole |dr/ds| grows along a
+    step, and without ``grow`` most capped steps would be rejected once.)
+    Toward the pole the tail lands on |s| = ``S_LAND`` and then on s = 0.
+    """
+    p, cfg = run.p, run.cfg
+    k, n1, R = float(p.k), float(p.n - 1), p.R
+    tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
+    endpoint, slack = run.endpoint, run.slack
+    r, psi, dpsi, prev_abs_psi = run.r, run.psi, run.dpsi, run.prev_abs_psi
+    rs, ys, ds = run.rs, run.ys, run.ds
+    accepted, rejected, hmin_seen, hmax_seen = run.accepted, run.rejected, run.hmin, run.hmax
+    s = 1.0 / psi
+    k1 = s_rhs(p, s, r)
+    sigma = run.h / k1
+    # sigma keeps its sign: toward the pole where it opposes s
+    toward = sigma * s < 0.0
+    grow = 1.0
+    event = None
+    attempt = 0
+    for attempt in range(1, run.attempts + 1):
+        hcap = 0.5 * abs(endpoint - r)
+        if not hcap < max_step:
+            hcap = max_step
+        cap = hcap / (abs(k1) * grow)
+        if abs(sigma) > cap:
+            sigma = math.copysign(cap, sigma)
+        s_new = s + sigma
+        landing = False
+        if toward:
+            s_land = math.copysign(S_LAND, s) if abs(s) > S_LAND else 0.0
+            if (s_new - s_land) * s <= 0.0:
+                sigma, s_new, landing = s_land - s, s_land, True
+
+        r_new, err, d_new = _dp5_s(n1, R, k, s, r, k1, sigma)
+        dr = abs(r_new - r)
+        if dr > 0.0:  # not NaN
+            grow = dr / abs(sigma * k1)
+        # a NaN r_new (a stage left the domain) fails the comparison too
+        if dr <= hcap and math.isfinite(err):
+            scale = abs(r_new)
+            if not scale > abs(r):
+                scale = abs(r)
+            err_norm = abs(err) / (tol * (1.0 + scale))
+        else:
+            err_norm = math.inf
+
+        leave = False
+        if err_norm <= 1.0:
+            accepted += 1
+            if dr < hmin_seen:
+                hmin_seen = dr
+            if dr > hmax_seen:
+                hmax_seen = dr
+            if s_new == 0.0:
+                event = _blowup_event(s > 0.0, r_new)
+                break
+            prev_abs_psi = abs(psi)
+            s, r, k1 = s_new, r_new, d_new
+            psi = 1.0 / s
+            dpsi = psi_rhs(p, r, psi)
+            rs.append(r)
+            ys.append(psi)
+            ds.append(dpsi)
+
+            if abs(psi) >= threshold:
+                event = _blowup_event(psi > 0.0, r)
+                break
+            if abs(endpoint - r) <= slack:
+                event = _endpoint_event(k, endpoint, r, psi)
+                break
+            leave = abs(psi) < TAIL_LEAVE or not _tail_guard(n1, R, r, psi)
+        else:
+            rejected += 1
+
+        if err_norm == 0.0:
+            sigma *= 5.0
+        else:
+            factor = 0.9 * err_norm ** -0.2
+            sigma *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
+        if landing and err_norm <= 1.0:
+            # landed on |s| = S_LAND: the next step aims at the pole
+            sigma = -s
+
+        if abs(sigma) < STEP_COLLAPSE:
+            event = _collapse_event(k, r, psi, prev_abs_psi)
+            break
+        if leave:
+            break
+    else:
+        event = _budget_event(r)
+
+    run.r, run.psi, run.dpsi, run.h, run.prev_abs_psi = r, psi, dpsi, sigma * k1, prev_abs_psi
+    run.attempts -= attempt
+    run.accepted, run.rejected, run.hmin, run.hmax = accepted, rejected, hmin_seen, hmax_seen
+    return event
 
 
 # The Dormand-Prince nodes of stages 2 to 6 (stage 7 shares the last) as a
@@ -470,11 +616,10 @@ _A_FLAT = np.array([
 _A_ROWS = ((0, 1), (1, 3), (3, 6), (6, 10), (10, 15), (15, 21))
 _E_COL = np.array([[_E1], [_E2], [_E3], [_E4], [_E5], [_E6], [_E7]])
 
-# Rows of the lockstep state, one column per running lane (whether a lane
-# carries u is a boolean array beside it).  The first four are the sample a
-# lane stores once it accepts a step.
-(_LANE, _R, _PSI, _DPSI, _Y, _K1, _H, _PREV, _END, _RSTOP, _SLACK,
- _SIGN, _ACC, _REJ, _HMIN, _HMAX) = range(16)
+# Rows of the lockstep state, one column per running lane.  The first four
+# are the sample a lane stores once it accepts a step.
+(_LANE, _R, _PSI, _DPSI, _H, _PREV, _END, _RSTOP, _SLACK,
+ _ACC, _REJ, _HMIN, _HMAX) = range(13)
 
 
 def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
@@ -483,16 +628,15 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
     lane at once, in numpy; the module docstring says why each HalfTrace is
     bit for bit the scalar one.
 
-    Every iteration takes one attempt of every running lane; a lane leaves
-    the working arrays when its scalar run would have returned.  Pole
-    location and the exits run the scalar code on their lane.  Any exception
-    (a stage at |r| >= 1, a pole bisection without a sign change) is raised
-    for the whole call, so a caller can fall back to ``integrate_from`` per
-    lane.
+    Every iteration takes one psi step attempt of every running lane; a lane
+    leaves the working arrays when its scalar run would have returned, or
+    when it enters the blow-up tail, where ``_walk`` finishes its run.  The
+    exits run the scalar code on their lane.  Any exception (a stage at
+    |r| >= 1, say) is raised for the whole call, so a caller can fall back
+    to ``integrate_from`` per lane.
     """
     k, n1, R = float(p.k), float(p.n - 1), p.R
     tol, max_step, threshold = cfg.tol, cfg.max_step, cfg.blowup_threshold
-    tol_u = tol * U_TOL_FACTOR
     n_lanes = len(lanes)
     events: list[TerminationEvent | None] = [None] * n_lanes
     stats: list[StepStats | None] = [None] * n_lanes
@@ -508,27 +652,25 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             stats[i] = _step_stats(0, 0, 0.0, 0.0)
             continue
         r_stop, slack, h = start
-        columns.append((i, r, y, k1, y, k1, h, abs(y), float(direction), r_stop, slack,
-                        1.0, 0.0, 0.0, math.inf, 0.0))
+        columns.append((i, r, y, k1, h, abs(y), float(direction), r_stop, slack,
+                        0.0, 0.0, math.inf, 0.0))
 
-    def finish(col: np.ndarray, event: TerminationEvent) -> None:
-        i = int(col[_LANE])
+    def finish(i: int, event: TerminationEvent, accepted: int, rejected: int,
+               hmin: float, hmax: float) -> None:
         events[i] = event
-        stats[i] = _step_stats(int(col[_ACC]), int(col[_REJ]),
-                               float(col[_HMIN]), float(col[_HMAX]))
+        stats[i] = _step_stats(accepted, rejected, hmin, hmax)
+
+    def counts(col: np.ndarray) -> tuple[int, int, float, float]:
+        return int(col[_ACC]), int(col[_REJ]), float(col[_HMIN]), float(col[_HMAX])
 
     chunks = [first]
-    st = np.array(columns, dtype=float).reshape(len(columns), 16).T.copy()
-    in_u = np.zeros(len(columns), dtype=bool)
-    any_u = False
-    # Python floats overflow to inf silently where numpy warns.  And lanes
-    # that do not carry u run the u kernel's arithmetic, and the reverse, on
-    # values it was never meant for; np.where then discards those results.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _attempt in range(cfg.max_steps):
+    st = np.array(columns, dtype=float).reshape(len(columns), 13).T.copy()
+    # Python floats overflow to inf silently where numpy warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(cfg.max_steps):
             if not st.shape[1]:
                 break
-            r, y, k1, end, r_stop = st[_R], st[_Y], st[_K1], st[_END], st[_RSTOP]
+            r, y, k1, end, r_stop = st[_R], st[_PSI], st[_DPSI], st[_END], st[_RSTOP]
 
             hcap = 0.5 * np.abs(end - r)
             hcap = np.where(hcap < max_step, hcap, max_step)
@@ -539,7 +681,7 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             # x-only terms at the five distinct nodes r + c h, last r + h
             x = r + _NODES * h
             w = 1.0 - x * x
-            # The scalar kernels raise here too, unless an earlier stage has
+            # The scalar kernel raises here too, unless an earlier stage has
             # already left the finite range; raising in that case as well
             # only sends the caller back to integrate_from.
             if not (w > 0.0).all():
@@ -547,17 +689,6 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             a = n1 * (x - R)
             sq = np.sqrt(w)
             kw = k * w
-            if any_u:
-                sign = st[_SIGN]
-                ssq = sign * sq
-
-            def rhs(node: int, ys: np.ndarray) -> np.ndarray:
-                f = (ys * ys + 1.0) * (a[node] * ys + sq[node]) / kw[node]
-                if any_u:
-                    su = np.sqrt(np.where(ys < 0.0, 0.0, ys))
-                    g = -2.0 * (1.0 + ys) * (a[node] + ssq[node] * su) / kw[node]
-                    f = np.where(in_u, g, f)
-                return f
 
             ha = _A_FLAT * h
             ks = np.empty((7, len(h)))
@@ -567,7 +698,8 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
                 ys = y + terms[0]
                 for t in terms[1:]:
                     ys += t
-                ks[stage + 1] = rhs(min(stage, 4), ys)
+                node = min(stage, 4)
+                ks[stage + 1] = (ys * ys + 1.0) * (a[node] * ys + sq[node]) / kw[node]
             y7, k7 = ys, ks[6]
             terms = _E_COL * ks
             err = 0.0 + terms[0]
@@ -577,12 +709,11 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
 
             # A stage that leaves the finite range makes y7 non-finite: every
             # A(i+1, i) is nonzero, and the zero A72 turns an infinite k2
-            # into NaN.  So this is the scalar kernels' rejection.
+            # into NaN.  So this is the scalar kernel's rejection.
             ay, ay7 = np.abs(y), np.abs(y7)
             scale = np.where(ay7 > ay, ay7, ay)
             err_norm = np.where(np.isfinite(y7) & np.isfinite(err),
-                                np.abs(err) / (np.where(in_u, tol_u, tol) * (1.0 + scale)),
-                                np.inf)
+                                np.abs(err) / (tol * (1.0 + scale)), np.inf)
             acc = err_norm <= 1.0
             ah = np.abs(h)
             st[_ACC] += acc
@@ -590,71 +721,47 @@ def _integrate_lanes(p: SolitonParams, lanes: Sequence[tuple[PhasePoint, int]],
             st[_HMIN] = np.where(acc & (ah < st[_HMIN]), ah, st[_HMIN])
             st[_HMAX] = np.where(acc & (ah > st[_HMAX]), ah, st[_HMAX])
 
-            if any_u:
-                pole = acc & in_u & (y7 <= 0.0)  # the step crossed the pole
-                stored = acc & ~pole
-                psi = np.where(in_u, sign / np.sqrt(y7), y7)
-                dpsi = np.where(in_u, (psi * psi + 1.0) * (a[4] * psi + sq[4]) / kw[4], k7)
-            else:
-                pole = None
-                stored = acc
-                psi, dpsi = y7, k7
-            st[_PREV] = np.where(stored, np.abs(st[_PSI]), st[_PREV])
-            st[_R] = np.where(stored, x[4], r)
-            st[_Y] = np.where(stored, y7, y)
-            st[_K1] = np.where(stored, k7, k1)
-            st[_PSI] = np.where(stored, psi, st[_PSI])
-            st[_DPSI] = np.where(stored, dpsi, st[_DPSI])
-            chunks.append(st[:4, stored])
-
-            apsi = np.abs(st[_PSI])
-            switch = stored & np.where(in_u, apsi < U_LEAVE, apsi > U_ENTER)
-            if switch.any():
-                enter = switch & ~in_u
-                psi_now = st[_PSI]
-                u = 1.0 / (psi_now * psi_now)
-                sgn = np.copysign(1.0, psi_now)
-                ku = -2.0 * (1.0 + u) * (a[4] + sgn * sq[4] * np.sqrt(np.where(0.0 > u, 0.0, u))) \
-                    / kw[4]
-                st[_SIGN] = np.where(enter, sgn, st[_SIGN])
-                st[_Y] = np.where(switch, np.where(enter, u, psi_now), st[_Y])
-                st[_K1] = np.where(switch, np.where(enter, ku, st[_DPSI]), st[_K1])
-                in_u = in_u ^ switch
-                any_u = bool(in_u.any())
+            st[_PREV] = np.where(acc, np.abs(y), st[_PREV])
+            st[_R] = np.where(acc, x[4], r)
+            st[_PSI] = np.where(acc, y7, y)
+            st[_DPSI] = np.where(acc, k7, k1)
+            chunks.append(st[:4, acc])
 
             factor = 0.9 * np.float_power(err_norm, -0.2)
             factor = np.where(factor >= 5.0, 5.0, np.where(factor > 0.2, factor, 0.2))
             st[_H] = h * np.where(err_norm == 0.0, 5.0, factor)
 
-            # The exits, in the order integrate_from tests them.  A lane that
-            # stored a sample may have switched variable above, but only the
-            # pole exit, whose lane stored none, reads y and k1.
-            over = stored & (apsi >= threshold)
-            landed = stored & (np.abs(end - st[_R]) <= st[_SLACK])
-            ends = over | landed | (np.abs(st[_H]) < STEP_COLLAPSE)
-            if pole is not None:
-                ends |= pole
+            # The exits and the tail entry, in the order integrate_from tests
+            # them.
+            apsi = np.abs(st[_PSI])
+            over = acc & (apsi >= threshold)
+            landed = acc & (np.abs(end - st[_R]) <= st[_SLACK])
+            collapsed = np.abs(st[_H]) < STEP_COLLAPSE
+            enter = acc & (apsi > TAIL_ENTER) & _tail_guard(n1, R, st[_R], st[_PSI])
+            ends = over | landed | collapsed | enter
             if not ends.any():
                 continue
             for j in np.flatnonzero(ends).tolist():
                 col = st[:, j]
+                i = int(col[_LANE])
                 psi_j, r_j = float(col[_PSI]), float(col[_R])
-                if pole is not None and pole[j]:
-                    loc = _locate_pole(n1, R, k, float(col[_SIGN]), r_j, float(col[_Y]),
-                                       float(col[_K1]), float(x[4, j]), float(y7[j]),
-                                       float(k7[j]))
-                    finish(col, _blowup_event(col[_SIGN] > 0.0, loc))
-                elif over[j]:
-                    finish(col, _blowup_event(psi_j > 0.0, r_j))
+                if over[j]:
+                    finish(i, _blowup_event(psi_j > 0.0, r_j), *counts(col))
                 elif landed[j]:
-                    finish(col, _endpoint_event(k, float(end[j]), r_j, psi_j))
-                else:  # the step collapsed
-                    finish(col, _collapse_event(k, r_j, psi_j, float(col[_PREV])))
-            keep = ~ends
-            st, in_u = st[:, keep], in_u[keep]
-            any_u = bool(in_u.any())
+                    finish(i, _endpoint_event(k, float(end[j]), r_j, psi_j), *counts(col))
+                elif collapsed[j]:
+                    finish(i, _collapse_event(k, r_j, psi_j, float(col[_PREV])), *counts(col))
+                else:  # the lane enters the tail; the scalar walk resumes it
+                    run = _Run(p, cfg, float(end[j]), float(col[_RSTOP]), float(col[_SLACK]),
+                               r_j, psi_j, float(col[_DPSI]), float(col[_H]),
+                               float(col[_PREV]), cfg.max_steps - 1 - attempt, *counts(col),
+                               [], [], [])
+                    finish(i, _walk(run, True), run.accepted, run.rejected, run.hmin, run.hmax)
+                    chunks.append(np.array([[float(i)] * len(run.rs), run.rs, run.ys, run.ds]))
+            st = st[:, ~ends]
     for j in range(st.shape[1]):
-        finish(st[:, j], _budget_event(float(st[_R, j])))
+        col = st[:, j]
+        finish(int(col[_LANE]), _budget_event(float(col[_R])), *counts(col))
 
     samples = np.concatenate(chunks, axis=1)
     lane = samples[0].astype(np.intp)
@@ -672,17 +779,14 @@ def _singular(r: float) -> ValueError:
     return ValueError(f"slope equation singular at |r| >= 1, got r={r}")
 
 
-def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: float,
-         k1: float, h: float) -> tuple[float, float, float]:
-    """One Dormand-Prince 5(4) step from (r, y), y' = k1.
+def _dp5(n1: float, R: float, k: float, r: float, y: float, k1: float,
+         h: float) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step of psi from (r, y), y' = k1.
 
-    ``n1`` is n - 1.  The step carries psi, with ``phase.psi_rhs`` inlined,
-    or with ``in_u`` u = 1/psi^2 on the branch sgn psi = ``sign``, with
-    ``phase.u_rhs`` inlined, its clamp of u at zero included.  ``sign`` is
-    read only with ``in_u``.  Returns the fifth-order value at r + h, the
-    embedded error estimate and the derivative there (first same as last:
-    the seventh stage sits at (r + h, y_new)).  The value is NaN when a
-    stage left the finite range.
+    ``n1`` is n - 1, and ``phase.psi_rhs`` is inlined.  Returns the
+    fifth-order value at r + h, the embedded error estimate and the
+    derivative there (first same as last: the seventh stage sits at
+    (r + h, y_new)).  The value is NaN when a stage left the finite range.
     """
     y2 = y + h * _A21 * k1
     if not math.isfinite(y2):
@@ -691,11 +795,7 @@ def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: fl
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    if in_u:
-        su = math.sqrt(0.0 if y2 < 0.0 else y2)
-        k2 = -2.0 * (1.0 + y2) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-    else:
-        k2 = (y2 * y2 + 1.0) * (n1 * (x - R) * y2 + math.sqrt(w)) / (k * w)
+    k2 = (y2 * y2 + 1.0) * (n1 * (x - R) * y2 + math.sqrt(w)) / (k * w)
 
     y3 = y + h * _A31 * k1 + h * _A32 * k2
     if not math.isfinite(y3):
@@ -704,11 +804,7 @@ def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: fl
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    if in_u:
-        su = math.sqrt(0.0 if y3 < 0.0 else y3)
-        k3 = -2.0 * (1.0 + y3) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-    else:
-        k3 = (y3 * y3 + 1.0) * (n1 * (x - R) * y3 + math.sqrt(w)) / (k * w)
+    k3 = (y3 * y3 + 1.0) * (n1 * (x - R) * y3 + math.sqrt(w)) / (k * w)
 
     y4 = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
     if not math.isfinite(y4):
@@ -717,11 +813,7 @@ def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: fl
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    if in_u:
-        su = math.sqrt(0.0 if y4 < 0.0 else y4)
-        k4 = -2.0 * (1.0 + y4) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-    else:
-        k4 = (y4 * y4 + 1.0) * (n1 * (x - R) * y4 + math.sqrt(w)) / (k * w)
+    k4 = (y4 * y4 + 1.0) * (n1 * (x - R) * y4 + math.sqrt(w)) / (k * w)
 
     y5 = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
     if not math.isfinite(y5):
@@ -730,11 +822,7 @@ def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: fl
     w = 1.0 - x * x
     if w <= 0.0:
         raise _singular(x)
-    if in_u:
-        su = math.sqrt(0.0 if y5 < 0.0 else y5)
-        k5 = -2.0 * (1.0 + y5) * (n1 * (x - R) + sign * math.sqrt(w) * su) / (k * w)
-    else:
-        k5 = (y5 * y5 + 1.0) * (n1 * (x - R) * y5 + math.sqrt(w)) / (k * w)
+    k5 = (y5 * y5 + 1.0) * (n1 * (x - R) * y5 + math.sqrt(w)) / (k * w)
 
     y6 = y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4 + h * _A65 * k5
     if not math.isfinite(y6):
@@ -747,48 +835,97 @@ def _dp5(n1: float, R: float, k: float, sign: float, in_u: bool, r: float, y: fl
     a = n1 * (x - R)
     sq = math.sqrt(w)
     kw = k * w
-    if in_u:
-        ssq = sign * sq
-        su = math.sqrt(0.0 if y6 < 0.0 else y6)
-        k6 = -2.0 * (1.0 + y6) * (a + ssq * su) / kw
-    else:
-        k6 = (y6 * y6 + 1.0) * (a * y6 + sq) / kw
+    k6 = (y6 * y6 + 1.0) * (a * y6 + sq) / kw
 
     y7 = (y + h * _A71 * k1 + h * _A72 * k2 + h * _A73 * k3 + h * _A74 * k4
           + h * _A75 * k5 + h * _A76 * k6)
     if not math.isfinite(y7):
         return _STAGE_OVERFLOW
-    if in_u:
-        su = math.sqrt(0.0 if y7 < 0.0 else y7)
-        k7 = -2.0 * (1.0 + y7) * (a + ssq * su) / kw
-    else:
-        k7 = (y7 * y7 + 1.0) * (a * y7 + sq) / kw
+    k7 = (y7 * y7 + 1.0) * (a * y7 + sq) / kw
 
     err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
            + _E6 * k6 + _E7 * k7)
     return y7, err * h, k7
 
 
-def _locate_pole(n1: float, R: float, k: float, sign: float, r0: float, u0: float,
-                 d0: float, r1: float, u1: float, d1: float) -> float:
-    """Zero of u = 1/psi^2 on an accepted step from u0 > 0 to u1 <= 0.
+def _dp5_s(n1: float, R: float, k: float, s: float, r: float, k1: float,
+           sigma: float) -> tuple[float, float, float]:
+    """One Dormand-Prince 5(4) step of the blow-up tail: r as a function of
+    s = 1/psi, from (s, r), dr/ds = k1.
 
-    The step's cubic Hermite model brackets the root and bisection finds
-    it; Newton iterations on the step itself, re-taken from r0 to each
-    estimate, then polish it.  The model alone is only as good as a cubic
-    fit of u, which near the pole carries a (pole distance)^(3/2) term.
+    ``n1`` is n - 1, and ``phase.s_rhs`` is inlined.  Returns r at
+    s + sigma, the embedded error estimate and dr/ds there.  A stage value
+    of r outside (-1, 1), NaN included, or one at which the denominator of
+    dr/ds vanishes returns (NaN, inf, NaN), a rejection, where
+    ``phase.s_rhs`` raises: the step caps bound the nodes of a psi step but
+    not the stage values of r, so such a stage means the step is too long.
     """
-    lo, hi = min(r0, r1), max(r0, r1)
-    x = _bisect(lambda t: _hermite_eval(r0, r1, u0, u1, d0, d1, t), lo, hi, tol=ROOT_TOL)
-    for _ in range(POLE_NEWTON_ITERS):
-        u, _err, du = _dp5(n1, R, k, sign, True, r0, u0, d0, x - r0)
-        if not (math.isfinite(u) and du != 0.0):
-            break
-        x_next = min(hi, max(lo, x - u / du))
-        if x_next == x:
-            break
-        x = x_next
-    return x
+    r2 = r + sigma * _A21 * k1
+    w = 1.0 - r2 * r2
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    x = s + _C2 * sigma
+    den = (1.0 + x * x) * (n1 * (r2 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k2 = -k * w * x / den
+
+    r3 = r + sigma * _A31 * k1 + sigma * _A32 * k2
+    w = 1.0 - r3 * r3
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    x = s + _C3 * sigma
+    den = (1.0 + x * x) * (n1 * (r3 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k3 = -k * w * x / den
+
+    r4 = r + sigma * _A41 * k1 + sigma * _A42 * k2 + sigma * _A43 * k3
+    w = 1.0 - r4 * r4
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    x = s + _C4 * sigma
+    den = (1.0 + x * x) * (n1 * (r4 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k4 = -k * w * x / den
+
+    r5 = r + sigma * _A51 * k1 + sigma * _A52 * k2 + sigma * _A53 * k3 + sigma * _A54 * k4
+    w = 1.0 - r5 * r5
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    x = s + _C5 * sigma
+    den = (1.0 + x * x) * (n1 * (r5 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k5 = -k * w * x / den
+
+    r6 = (r + sigma * _A61 * k1 + sigma * _A62 * k2 + sigma * _A63 * k3 + sigma * _A64 * k4
+          + sigma * _A65 * k5)
+    w = 1.0 - r6 * r6
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    # stages 6 and 7 share the node s + sigma
+    x = s + sigma
+    xx = 1.0 + x * x
+    den = xx * (n1 * (r6 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k6 = -k * w * x / den
+
+    r7 = (r + sigma * _A71 * k1 + sigma * _A72 * k2 + sigma * _A73 * k3
+          + sigma * _A74 * k4 + sigma * _A75 * k5 + sigma * _A76 * k6)
+    w = 1.0 - r7 * r7
+    if not w > 0.0:
+        return _STAGE_OVERFLOW
+    den = xx * (n1 * (r7 - R) + math.sqrt(w) * x)
+    if den == 0.0:
+        return _STAGE_OVERFLOW
+    k7 = -k * w * x / den
+
+    err = (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
+           + _E6 * k6 + _E7 * k7)
+    return r7, err * sigma, k7
 
 
 def _hermite_eval(x0: float, x1: float, y0: float, y1: float,
@@ -811,10 +948,13 @@ def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
     """Zero and guide-curve crossings of the sampled orbit.
 
     Sign changes are found over the whole sample array; a segment-local
-    cubic Hermite model then refines each bracketed one by bisection.  A
-    sample sitting exactly on a curve is a crossing itself.  Segments
-    straddling the guide-curve pole at r = R are skipped for the eta scan
-    (the sign of psi - eta flips there without a crossing).
+    cubic Hermite model then refines each bracketed one by bisection, and a
+    zero is polished by Newton steps on the Dormand-Prince step from the
+    segment's left sample (the model is good to about its width to the
+    fourth, the step to the integration tol).  A sample sitting exactly on a
+    curve is a crossing itself.  Segments straddling the guide-curve pole at
+    r = R are skipped for the eta scan (the sign of psi - eta flips there
+    without a crossing).
     """
     def root(i: int, curve: Callable[[float], float]) -> float:
         """Where the Hermite model of psi on segment i meets the curve."""
@@ -824,6 +964,22 @@ def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
         return _bisect(lambda x: _hermite_eval(x0, x1, y0, y1, d0, d1, x) - curve(x),
                        x0, x1, tol=ROOT_TOL)
 
+    def zero(i: int) -> float:
+        """The zero of psi on segment i, polished on the step from r[i]."""
+        x0, x1 = float(r[i]), float(r[i + 1])
+        y0, d0 = float(psi[i]), float(dpsi[i])
+        x = root(i, lambda x: 0.0)
+        for _ in range(CROSSING_NEWTON_ITERS):
+            y, _err, dy = _dp5(n1, p.R, k, x0, y0, d0, x - x0)
+            if not (math.isfinite(y) and dy != 0.0):
+                break
+            x_next = min(x1, max(x0, x - y / dy))
+            if x_next == x:
+                break
+            x = x_next
+        return x
+
+    k, n1 = float(p.k), float(p.n - 1)
     out: list[Crossing] = []
 
     pos = psi > 0.0
@@ -831,7 +987,7 @@ def _find_crossings(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
     for i in np.flatnonzero(on):
         out.append(Crossing(kind=CROSSING_ZERO, r=float(r[i])))
     for i in np.flatnonzero(~on[:-1] & ~on[1:] & (pos[:-1] != pos[1:])):
-        out.append(Crossing(kind=CROSSING_ZERO, r=root(i, lambda x: 0.0)))
+        out.append(Crossing(kind=CROSSING_ZERO, r=zero(i)))
 
     s = psi - _eta_samples(p, r)
     clear = ~((r[:-1] <= p.R) & (p.R <= r[1:]))
@@ -852,6 +1008,59 @@ def _profile_slopes(k: int, r: np.ndarray, psi: np.ndarray,
     V'' = psi' / (k sqrt(1-r^2)) + psi r / (k (1-r^2)^(3/2)) at the samples."""
     sq = np.sqrt(1.0 - r * r)
     return psi / (k * sq), dpsi / (k * sq) + psi * r / (k * sq**3)
+
+
+def _profile_increments(p: SolitonParams, r: np.ndarray, psi: np.ndarray,
+                        vprime: np.ndarray, dvprime: np.ndarray) -> np.ndarray:
+    """Increments of v over the sample segments.
+
+    Each is the trapezoid rule with the Hermite endpoint correction
+    h^2/12 (f'_0 - f'_1), which buys two orders in the sample spacing: in r
+    on V' and its derivative, and in s = 1/psi on dV/ds and its derivative
+    over a tail segment: one whose ends both meet the tail guard with one
+    sign of psi, one of them at |psi| > ``TAIL_ENTER``.  There V' is steep
+    in r (the tail's samples are sparse in r near a pole) while V is smooth
+    in s.  A trace has a handful of tail segments, so they are summed as
+    floats, which costs less than numpy's per-call overhead would.
+    """
+    h = np.diff(r)
+    dv = 0.5 * (vprime[1:] + vprime[:-1]) * h - h * h / 12.0 * (dvprime[1:] - dvprime[:-1])
+    n1, R = float(p.n - 1), p.R
+    steep = np.flatnonzero(np.abs(psi) > TAIL_ENTER).tolist()
+    after = -1  # the sample whose slopes are (s1, f1, df1)
+    for i in sorted({j - 1 for j in steep if j > 0}.union(j for j in steep if j < len(h))):
+        r0, r1, psi0, psi1 = float(r[i]), float(r[i + 1]), float(psi[i]), float(psi[i + 1])
+        if not ((psi0 > 0.0) == (psi1 > 0.0) and _tail_guard(n1, R, r0, psi0)
+                and _tail_guard(n1, R, r1, psi1)):
+            continue
+        if i == after:
+            s0, f0, df0 = s1, f1, df1
+        else:
+            s0, f0, df0 = _tail_slopes(p.k, n1, R, r0, psi0)
+        after = i + 1
+        s1, f1, df1 = _tail_slopes(p.k, n1, R, r1, psi1)
+        ds = s1 - s0
+        dv[i] = 0.5 * (f1 + f0) * ds - ds * ds / 12.0 * (df1 - df0)
+    return dv
+
+
+def _tail_slopes(k: int, n1: float, R: float, r: float,
+                 psi: float) -> tuple[float, float, float]:
+    """s = 1/psi, dV/ds = -q / D, with q = sqrt(1-r^2) and
+    D = (1+s^2)((n-1)(r-R) + q s), and the derivative of dV/ds along the
+    orbit, d/ds = partial_s + (dr/ds) partial_r with dr/ds = -k q^2 s / D,
+    at a tail sample (r, psi)."""
+    s = 1.0 / psi
+    q = math.sqrt(1.0 - r * r)
+    a = n1 * (r - R) + q * s
+    P = 1.0 + s * s
+    D = P * a
+    dD_ds = 2.0 * s * a + P * q
+    dD_dr = P * (n1 - r * s / q)
+    drds = -k * q * q * s / D
+    # f = -q/D: f_s = q D_s / D^2, f_r = (r D / q + q D_r) / D^2
+    df = (q * dD_ds + (r * D / q + q * dD_dr) * drds) / (D * D)
+    return s, -q / D, df
 
 
 def maximal_trace(

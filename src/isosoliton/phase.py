@@ -16,7 +16,7 @@ whose sign structure is controlled by the guide curves
     eta(r)  = -sqrt(1 - r^2) / ((n-1)(r - R)),
     zeta(r) = -1 / (k (n-1)(r - R))        (eta = k sqrt(1-r^2) zeta).
 
-This module provides the two right-hand sides, the guide curves, the sign
+This module provides the right-hand sides, the guide curves, the sign
 trichotomy (a tie within ``SIGN_TIE_TOL`` of eta), and the comparison
 bounds that pin down where solutions blow up or stay bounded.  The bounds
 are closed-form antiderivatives lifted from the comparison arguments; tests
@@ -73,20 +73,23 @@ def psi_rhs(p: SolitonParams, r: float, psi: float) -> float:
     return (psi * psi + 1.0) * drift / (p.k * one_minus_r2)
 
 
-def u_rhs(p: SolitonParams, r: float, u: float, sign: float) -> float:
-    """Right-hand side for u = 1/psi^2 on a branch with sgn psi = ``sign``.
+def s_rhs(p: SolitonParams, s: float, r: float) -> float:
+    """The slope equation with s = 1/psi as the variable and r as the value:
 
-        u' = -2 (1 + u) ((n-1)(r - R) + sign sqrt(1 - r^2) sqrt(u)) / (k (1 - r^2)),
+        dr/ds = -k (1 - r^2) s / ((1 + s^2) ((n-1)(r - R) + sqrt(1 - r^2) s)).
 
-    the slope equation in the variable of the comparison bound h1, where a
-    blow-up of psi is a regular zero of u.  sqrt(u) is clamped at zero, so a
-    step may run past the pole and the continuation stays C^1.
+    A blow-up of psi at a level b != R is the regular point s = 0, r = b,
+    where dr/ds vanishes.  Singular at |r| >= 1 and where the second factor
+    of the denominator vanishes; callers keep to where it is at least half
+    its first term (the integrator's tail guard).
     """
     one_minus_r2 = 1.0 - r * r
-    if one_minus_r2 <= 0.0:
+    if not one_minus_r2 > 0.0:
         raise ValueError(f"slope equation singular at |r| >= 1, got r={r}")
-    drift = (p.n - 1) * (r - p.R) + sign * math.sqrt(one_minus_r2) * math.sqrt(max(u, 0.0))
-    return -2.0 * (1.0 + u) * drift / (p.k * one_minus_r2)
+    den = (1.0 + s * s) * ((p.n - 1) * (r - p.R) + math.sqrt(one_minus_r2) * s)
+    if den == 0.0:
+        raise ValueError(f"dr/ds singular at (s, r) = ({s}, {r})")
+    return -p.k * one_minus_r2 * s / den
 
 
 def vprime_rhs(p: SolitonParams, r: float, vprime: float) -> float:

@@ -3,7 +3,8 @@
 Each test prints CRITERION <n> PASS/FAIL with the measured worst case, at
 the stated tolerance, bypassing capture so the line always shows up in the
 run log.  Tolerances here are contractual; do not loosen them.  Beside them
-sits the closed-form side law of the poles, a companion of criterion 4.
+sit the closed-form side and slope laws of the poles, companions of
+criterion 4.
 """
 
 import dataclasses
@@ -213,10 +214,10 @@ def test_criterion_04_blowup_bounds(capsys):
 
 
 def test_pole_side_law(taxonomy_sweeps):
-    """u = 1/psi^2 falls to zero along a run that reaches a pole b, so
-    direction * u'(b) <= 0, where u'(b) = -2(n-1)(b - R)/(k(1 - b^2)).  Hence
-    (b - R) * direction > 0: every pole lies on the side of R the run heads
-    to (a closed-form law, needing no reference run)."""
+    """s = 1/psi runs to zero along a run that reaches a pole b != R, where
+    dr/ds ~ -k(1 - b^2) s / ((n-1)(b - R)), so r moves with the sign of
+    b - R.  Hence (b - R) * direction > 0: every pole lies on the side of R
+    the run heads to (a closed-form law, needing no reference run)."""
     poles = 0
     for name, (p, seeds, res) in taxonomy_sweeps.items():
         for entry in res.entries:
@@ -225,6 +226,37 @@ def test_pole_side_law(taxonomy_sweeps):
                 if event.kind in (BLOWUP_PLUS, BLOWUP_MINUS):
                     assert (event.location - p.R) * direction > 0.0, (name, entry.seed)
                     poles += 1
+    assert poles > 1000
+
+
+def test_pole_slope_law(taxonomy_sweeps):
+    """Near a pole b != R, r is analytic in s = 1/psi, with
+    dr/ds = -k(1 - r^2) s / ((1 + s^2)((n-1)(r - R) + sqrt(1 - r^2) s)).  So
+    the last sample of a run lies short of its pole by
+    P = k(1 - b^2) s^2 / (2|a|), a = (n-1)(b - R), to leading order, and the
+    next term is (2/3) (sqrt(1 - b^2)/|a|) |s| P.  Every located pole of the
+    criterion-6 sweeps obeys the leading law within 3/4 of that next term,
+    plus 4 ulps of 1 for rounding: a closed-form check of each pole, needing
+    no reference run."""
+    poles = 0
+    for name, (p, seeds, res) in taxonomy_sweeps.items():
+        for entry in res.entries:
+            ev = entry.shape.evidence
+            for direction, event in ((-1, ev.left_event), (1, ev.right_event)):
+                if event.kind not in (BLOWUP_PLUS, BLOWUP_MINUS):
+                    continue
+                half = integrate_from(p, entry.seed, direction, CFG)
+                assert half.event == event, (name, entry.seed, direction)
+                b, r_last = event.location, float(half.r[-1])
+                if not (b - r_last) * direction > 0.0:
+                    continue  # a fallback exit, at the last sample
+                s_last = 1.0 / float(half.psi[-1])
+                a = abs((p.n - 1) * (b - p.R))
+                lead = p.k * (1.0 - b * b) * s_last * s_last / (2.0 * a)
+                bound = 0.75 * math.sqrt(1.0 - b * b) / a * abs(s_last) * lead \
+                    + 4.0 * math.ulp(1.0)
+                assert abs((b - r_last) * direction - lead) <= bound, (name, entry.seed, direction)
+                poles += 1
     assert poles > 1000
 
 

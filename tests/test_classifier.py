@@ -384,16 +384,17 @@ class TestSweepBlocks:
         assert big.entries[:n - 1] == small.entries
 
     def test_lockstep_failure_reruns_the_block_per_seed(self, monkeypatch):
-        """A pole bisection that fails in some lanes fails the lockstep; the
-        block then reruns seed by seed, and each failure lands on its seed."""
-        locate = integrator._locate_pole
+        """A blow-up tail that fails in some lanes fails the lockstep, which
+        hands each lane's tail to the scalar walk; the block then reruns seed
+        by seed, and each failure lands on its seed."""
+        tail = integrator._tail
 
-        def failing(n1, R, k, sign, r0, *rest):
-            if r0 > 0.3:
+        def failing(run):
+            if run.r > 0.3:
                 raise ValueError("injected pole failure")
-            return locate(n1, R, k, sign, r0, *rest)
+            return tail(run)
 
-        monkeypatch.setattr(integrator, "_locate_pole", failing)
+        monkeypatch.setattr(integrator, "_tail", failing)
         sizes = _lockstep_sizes(monkeypatch)
         res = sweep(P12, self.SEEDS, cfg=CFG)
         assert sizes == [len(self.SEEDS) * 2]
@@ -468,10 +469,22 @@ class TestDerivedFields:
                 dataclasses.replace(tr, seed=PhasePoint(r, 2.0))
 
     def test_trace_profile_columns_are_recomputed(self):
+        """Doubling psi doubles V', and the increments of v on the segments
+        integrated in r; those of a blow-up tail, integrated in s = 1/psi,
+        follow the moved samples as the quadrature gives them."""
         tr = maximal_trace(P23, PhasePoint(-0.2, 0.7), CFG)
         moved = dataclasses.replace(tr, psi=2.0 * tr.psi, dpsi=2.0 * tr.dpsi)
         assert np.array_equal(moved.vprime, 2.0 * tr.vprime)
-        np.testing.assert_allclose(moved.v, 2.0 * tr.v, rtol=1e-12, atol=1e-15)
+        n1 = float(P23.n - 1)
+        tail = [(g[:-1] & g[1:]) for g in (integrator._tail_guard(n1, P23.R, tr.r, psi)
+                                           for psi in (tr.psi, moved.psi))]
+        in_r = ~(tail[0] | tail[1])
+        assert 0 < tail[1].sum() and in_r.sum() > 100
+        np.testing.assert_allclose(np.diff(moved.v)[in_r], 2.0 * np.diff(tr.v)[in_r],
+                                   rtol=1e-12, atol=1e-15)
+        vprime, dvprime = integrator._profile_slopes(P23.k, tr.r, moved.psi, moved.dpsi)
+        dv = integrator._profile_increments(P23, tr.r, moved.psi, vprime, dvprime)
+        np.testing.assert_allclose(np.diff(moved.v), dv, rtol=1e-12, atol=1e-15)
 
     def test_trace_crossings_are_recomputed(self):
         tr = maximal_trace(P23, PhasePoint(-0.2, 0.7), CFG)

@@ -456,102 +456,103 @@ GALLERY_RUNS = runpy.run_path(str(DEMOS / "figure_gallery.py"), run_name="galler
 # sha256 of the five trace artifacts, recorded with CPython 3.11 and numpy 2.4
 # on x86-64 Linux before the figures were drawn from arrays (trace.json again
 # when its "cfg" block went from six keys to five), and all again when the walk
-# began to carry u = 1/psi^2 from |psi| > 4 under its own error norm.  The
-# k=1 n=2 seed (0, 0)
+# began to carry u = 1/psi^2 from |psi| > 4 under its own error norm, and when
+# the blow-up tail became r as a function of s = 1/psi.  The k=1 n=2 seed (0, 0)
 # run straddles R, so its guide curves break at the pole; the two runs after
 # the gallery's draw them with a fixed range and each overlay alone.
 GALLERY_DIGESTS = {
     "k1_type_I": {
-        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
-        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
-        "psi.svg": "c55a86036da4e60ec28c0a7cff5d89630905c0c0c83047d2fb6f771b1988ca6b",
-        "vprime.svg": "b9cd78ed3cbcf5414dbcb44c4a787ce6f3cfc8a90291e635937a07d0593e8d38",
-        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
+        "trace.csv": "7e2018178191fa3b2acff660e35ceb63ebd51b88ea30187b0884e0246dfb82cb",
+        "trace.json": "4b3c57084635e45ce20edc5c4f229cb1fe8f88be0ad093fc911ed78832c48ce1",
+        "psi.svg": "7c06084fb1d65c600327d9de5f08409158aa74dc17dcf60dfcc6ef1fb15e0c53",
+        "vprime.svg": "3f2512ff9d754e5e99e20b27b8bc4f1391632adb9a5f8e48e7526b7bc09b009b",
+        "v.svg": "faeb21b5a00f6ac02c685dd9bc38d1ec5ac7c79f027975e522f4ea1252678db5",
     },
     "k1_type_II": {
-        "trace.csv": "4c9d91d832c00ff7ab291befbe1d275830e7933b4c078987dd686e828b2b2601",
-        "trace.json": "481d5bde86623893e239471002abb90c90c2232a393ea03a69d9d92d1536033f",
-        "psi.svg": "97c9058ea60aa0a49218afe098914f6b3ddcf7fb1a7e2a17fe71bedc63b1a10f",
-        "vprime.svg": "6bc42db823f72dac0d8feb7bea703427352fe3eddfa7382b6356a3d4df35f99c",
-        "v.svg": "418d053883c5a02976594f22d952fb625d7bdd6cfd52a3c368bb9363214fd12c",
+        "trace.csv": "3e3a7e53a50ed654c6ba4e81df32637af8f52904011f9acbb8d589319db10bd3",
+        "trace.json": "2106e962ef50728478ef6b5737ea5375e5bef7c96ba62e7d43dd2245bfe7a8bc",
+        "psi.svg": "94eeebd73b819cf03c1b9d6aeb85c59d5594e004001bfddb035298e6b6a7d41c",
+        "vprime.svg": "15871dfab45f739cae6b988ad090429b9574ff263947624056954e0033389c3b",
+        "v.svg": "678afbe77e0d95e541aaad219c366160651d0ab72ba8744746e8b05bbe2ea261",
     },
     "k1_type_VI": {
-        "trace.csv": "9b92424c691207f9616fd95e5ade972dd45b176b8af92e78d7d56acac3b07be5",
-        "trace.json": "3503fe0f8135b809e347bacc59b7a351f2836f76581e7935964fa8e2277b28f0",
-        "psi.svg": "2b494448a622223d0a1d28f1eae2f5343bbf5e1ab5354103dc701c24323f7d44",
-        "vprime.svg": "442e86f5740598e9ccd80b541f8a0ffec6553da7e037fea6b39705c6db4394f4",
-        "v.svg": "66a8d4689a36596240bea9f8eafe1f9478520cba2ac569449d424cdc1c925efa",
+        "trace.csv": "c9475417a30bb9939af3da3b85543fcad379d415f9234a321ffa7caff229f49d",
+        "trace.json": "21deb0766e7b35cc6074d8d4862a51abdf3e4285a8424f77ca7051114b6052ec",
+        "psi.svg": "2c685859a45a97d46365a407274d45d921bf1975057e764c1d99ab99cda3209b",
+        "vprime.svg": "4ff791a0a50c4e3c92cbf2e0f1060f609b1dd3f2b693090821bb22dd6a05b52a",
+        "v.svg": "32959da712cf4f237de1239c7051275a949c206f70618de8b51dd6a03d565070",
     },
     "k2_type_IV": {
-        "trace.csv": "0bab59703cc850e774f634695c704be5fec86e851ae450a87b6c9419dcc34d5c",
-        "trace.json": "7bfbd792d5b781e08bd7dd47796885fc3036a7d3f0ae0fe9643bdc4a4232c2bd",
-        "psi.svg": "73628989a152f3e852eeb46565d0aea8dc31b8f9ddff95a0e0e36f8b48566886",
-        "vprime.svg": "153874b7137feffb32a7009f903b20734ec6e36fcbab85c1e32b20d0830bfd53",
-        "v.svg": "fe78886962981261589be17f4f65bcc42123188a34216c65af55077a3c53828d",
+        "trace.csv": "321764ecb5576621fbd2844a710c71efeb90fe2bff22fa2a603c3393e9c74168",
+        "trace.json": "a4d989593320b02df2c4d5f75e7acb2e3243522f1f281d5a3fceb0668a5aaee6",
+        "psi.svg": "d99d58370d85bdbb01894cc9c96a8c3fb966bdecee9f5a2ba796a071c8917261",
+        "vprime.svg": "68a084f4c191536cd08d31e3364df77cad4a3cf4c0ca60aa70199ff5b672c20c",
+        "v.svg": "8fa2457a29d7fa56964aec9359cc7c7f57675f5b344d069668305e3a5e9cb7f8",
     },
     "k2_type_VII": {
-        "trace.csv": "035a91558cbba4b31e138ac50c3d05205875b2695f3efc3a9e0d63b5f8d1488d",
-        "trace.json": "dbd7ce3ab7ac7f8c4f2f3f99cc712e3d78f17211ad12bb26a5da030be4013a16",
-        "psi.svg": "cce55509c2b78ae1703744073ca48c632e071439d9cd496fa89de193b6a3a950",
-        "vprime.svg": "49f576c9e3cba469f0ad3fd761bc08e3ebce96e2fec50ddbeba7dfe20abb8066",
-        "v.svg": "aee66c91df8b530725b2332aa2817afc86a541b38986f7d16420158504066f37",
+        "trace.csv": "3655a8f4b5d30b9dc0201fad1460cfc201dc0ebed2a2af17cea938545f4f24f4",
+        "trace.json": "2b6ef930fae26cba3cd528d367b9fcd935efc2c18969b5c20ce3e374b758b397",
+        "psi.svg": "8a31c9e77f7357f5f1f8ee70226f40687df1c3151df17db22701d7b25da2f94f",
+        "vprime.svg": "0226c73c3148f97db41fd7bff1e9daa46b2159530385abb7dcdd1b508650b753",
+        "v.svg": "f16ac052734fc991e1877dbb04f1eeafd61a8935d9cbdf99101e062f237466f4",
     },
 }
 
 GOLDEN_ARTIFACTS = [(tail, GALLERY_DIGESTS[name]) for name, tail in GALLERY_RUNS] + [
     (K1_SEED0 + ["--ymax", "3", "--overlays", "eta"], {
-        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
-        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
-        "psi.svg": "51f57c952df7ae5b840d8fa8c62a1903c70470e329207805d1dd3e20c4bfa8ef",
-        "vprime.svg": "b000c4945b077d30c852ac9aa591f6f042b1421b623b69e88c65ed372acd39fe",
-        "v.svg": "209cc2d065c017611e5a5508205d4f902355585bdc8bccdbc05f564f2b7b0d6f",
+        "trace.csv": "7e2018178191fa3b2acff660e35ceb63ebd51b88ea30187b0884e0246dfb82cb",
+        "trace.json": "4b3c57084635e45ce20edc5c4f229cb1fe8f88be0ad093fc911ed78832c48ce1",
+        "psi.svg": "d3513b12636ad9c5926f53d5dbed1d67f309658052ae0c6d74045727818cfa1d",
+        "vprime.svg": "d51019ebce7f715ec33d740907ef62c33daf34f04fd1a33898ecac7604f5942a",
+        "v.svg": "c14ae60ce0a34b1921dc2290c2c45b97d23141f783abdc365274ffd13804cb5f",
     }),
     (K1_SEED0 + ["--overlays", "zeta,R-line"], {
-        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
-        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
-        "psi.svg": "3b5479de66588cdaddb00ab74c79fc3877d0671c998f7b6956941d7b0bd3209b",
-        "vprime.svg": "b9cd78ed3cbcf5414dbcb44c4a787ce6f3cfc8a90291e635937a07d0593e8d38",
-        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
+        "trace.csv": "7e2018178191fa3b2acff660e35ceb63ebd51b88ea30187b0884e0246dfb82cb",
+        "trace.json": "4b3c57084635e45ce20edc5c4f229cb1fe8f88be0ad093fc911ed78832c48ce1",
+        "psi.svg": "1f28c057e7ecba5223112ace864d466f5dfd62f608e761f9b6fbe904e278483b",
+        "vprime.svg": "3f2512ff9d754e5e99e20b27b8bc4f1391632adb9a5f8e48e7526b7bc09b009b",
+        "v.svg": "faeb21b5a00f6ac02c685dd9bc38d1ec5ac7c79f027975e522f4ea1252678db5",
     }),
     # Recorded before each figure path was formatted in one template (and
-    # again with the u norm): an endpoint seed, a pole at r = 0.99999993, and
-    # a ymax whose cap
-    # 10*ymax is inf, so that only the pole breaks lift the guide pens.
+    # again with the u norm and with the s tail): an endpoint seed, a pole at
+    # r = 0.99999993, and a ymax whose cap 10*ymax is inf, so that only the
+    # pole breaks lift the guide pens.
     (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"], {
-        "trace.csv": "1bb7fee33e3fc352144239e41a7253dbf8635177c6c61400ded323ef204b0257",
-        "trace.json": "d099247c0c120f81678ab895ba7e53564057327af0ea575290b5c839669db8b6",
-        "psi.svg": "125fd648a3e02ad1eb30afeda534bfd7d1a85afc3dae665ed76a36db392c7928",
-        "vprime.svg": "bd00e5fcc7465e32eb2721ed27a8d943decd9f6067c4307df99370a5ab30ac70",
-        "v.svg": "8dc11fa63cae2bd394ba216dd1674f06a1ddc719c29293c416176c691571b4d5",
+        "trace.csv": "e4d0a1faedebb183e66b6412bc903d66801ff4f7f14f84898b17597d0cd428ca",
+        "trace.json": "c9a93b4b70bc1441628357a9906be10163f31d91611bdfd830e59da619338b98",
+        "psi.svg": "3280e85fe9d66cc13c3ca04591c0c4b8165db0e343fe45aadaadbded6a23ef87",
+        "vprime.svg": "b27329a9fac864a21c5f962faa2c3747811a23f4e58b87f555dae75f04f954a4",
+        "v.svg": "a35cf763278af1ab05893e152d352b32f290d3ee94d542795fd71fd3beb89d64",
     }),
     (["--k", "2", "--n", "3", "--m", "1",
       "--seed-r", "-0.5966564091734834", "--seed-psi", "-1.7876768807877506"], {
-        "trace.csv": "2ac0a5cfba898162deeac1efac530ba1aaa88816374a36a78bf39d24d8ebb3a8",
-        "trace.json": "1547b35771b964db8ffec7a05f73c0a8090f2af47c0974d22f545c27e8d5a463",
-        "psi.svg": "86f2556047b68ed02ff52492d8aaa363c78ab3c0005c435f5c21b7170000961a",
-        "vprime.svg": "914d9d0138bbc160f98634e4ea05701f11c115181a016e2c8481a5451db3c856",
-        "v.svg": "bb77e8b353beacbf8efca1350bca467af7a26f069d21213c10fcd680afb75a14",
+        "trace.csv": "133fc884f5688172e29581198670581bd6a223ce4baa025ceaef6fe01a4a9a25",
+        "trace.json": "3129ecff3ffc4e5c6398e274454167fc7ca68b4a093fe7ddca398a5d7dabc8f8",
+        "psi.svg": "88940ccb3842e9da5841ebabb3f7be48d6991fd9feb136c115800d0211e914f9",
+        "vprime.svg": "e48237834947b748bae0d23929e36c78a4286a55f6ab8c5907b423e40b5c2b01",
+        "v.svg": "a96a8cb9736eef2bcc8c1b8d91216984b9269b84f99ee5055590724baf5c9b47",
     }),
     (K1_SEED0 + ["--ymax", "8.9e307"], {
-        "trace.csv": "32b6907af9cbfbb34aeb3a3ed91caddf61a53ff31b70abb32bb2482951e96509",
-        "trace.json": "32848dfb9efbae9cff6b17c00d310e63faaeb1eb339f6ff9014589abe9c94170",
-        "psi.svg": "236f6866bf52bdd53ac6a949d44811b23e7f57033a15ca6ed0cf36299e166ac3",
-        "vprime.svg": "b60651095e1f42b02ce4ddc40aceb7fae2f52df49453f4863d873752d444d667",
-        "v.svg": "6d8e399a671dfbd11b4a8cf0d319e19b26beacc3c73659643a9196ef7cea6f43",
+        "trace.csv": "7e2018178191fa3b2acff660e35ceb63ebd51b88ea30187b0884e0246dfb82cb",
+        "trace.json": "4b3c57084635e45ce20edc5c4f229cb1fe8f88be0ad093fc911ed78832c48ce1",
+        "psi.svg": "e2eefd7d72c74926f81bc938390d1f06f780d1677c14374f646a278b327525ae",
+        "vprime.svg": "6fe1de58cf6810eace23a6a198f2b38438a39a526d34754305feb233f074afc1",
+        "v.svg": "faeb21b5a00f6ac02c685dd9bc38d1ec5ac7c79f027975e522f4ea1252678db5",
     }),
 ]
 
 
 # sha256 of sweep.json, recorded with CPython 3.11.7 and numpy 2.4.6 on
 # x86-64 Linux while sweeps still integrated seed by seed (and again when the
-# walk began to carry u from |psi| > 4 under its own norm): the 443-seed k=2
+# walk began to carry u from |psi| > 4 under its own norm, and when zero
+# crossings were polished on the integration step): the 443-seed k=2
 # grid now runs as one lockstep block in process, and the k=1 grid as one
 # lockstep block per worker (or one in process on a single CPU).
 SWEEP_DIGESTS = [
     (["--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--with-endpoints"],
-     "d0b1ec14a64127042345ac5208c6209f69e9e19067563d6c37e043e53066d012"),
+     "d7b1d2bc36420ca145c056b7f9d807301161aa61876efeb00b5176296ba7cad9"),
     (["--k", "1", "--n", "2", "--with-endpoints", "--workers", "2"],
-     "bb013caca6a027c32f798cfc6ca3b32484fcf76e27d99776f3c3d73c47bed3e7"),
+     "0c7f495e841e499ac4691c265efc9c19ca67009b9ca8e8fb643f93254e1f888c"),
 ]
 
 
@@ -559,25 +560,26 @@ SWEEP_DIGESTS = [
 # 3.11.7 and numpy 2.4.6 on x86-64 Linux before the domain statement and the
 # verify dispatch were each written as one rule; the reports that hold a pole
 # location again when the walk began to carry u from |psi| > 4 under its own
-# norm.  Between them the domain
+# norm, and when the blow-up tail became r as a function of s = 1/psi.
+# Between them the domain
 # runs cover every k = 2 case: an interior type, VI and VII, with and
 # without n = 3.
 REPORT_DIGESTS = [
     (["classify", "--k", "1", "--n", "2", "--seed-r", "-0.63", "--seed-psi", "0.5"],
-     "7c56895e42f7555d63926fd022925bb2c4db32bb3e7f1718b15318c516f54ea1"),
+     "5ee9f8aa4fadcef685d93cc91943f625e6fdd3edd221c2061f1256b7fdc97b94"),
     (["classify", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--endpoint", "-1"],
-     "f22fa311801904bd364c256cd8baaea1f9b5436d52dc57501bbb21ff6d0907fd"),
+     "94510bad150bdb4b4d408b682bf40b104eb1538b362fe9ede074148fc1e6bcc9"),
     (["classify", "--k", "3", "--n", "4", "--m", "1", "--seed-r", "0.2", "--seed-psi", "0.5"],
-     "95fc2a584eaaccae3697811738b916725ae2a81ef2774b9fda7cc584d966fc0d"),
+     "d9108cdc7e70d6a131b1a86614c082555d40de1524e9095d9000c4cf7e3c7ee5"),
     (["domain", "--k", "1", "--n", "2", "--type", "VI"],
      "99c860fbcf0489a495779df7d6e8bdb526a79beb27be884fd421ccd6ca243728"),
     (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1", "--type", "VII"],
-     "232dc9944f68d62065acf632e7cb36a75bcf3afa2cb19b25aa189cb171bc3745"),
+     "41b4ff513bb3c485d62d9cfbe650a78e6f1bfcd74f0dc01703f05bc4cd4e4289"),
     (["domain", "--k", "2", "--n", "4", "--m1", "2", "--m2", "1", "--type", "VI"],
-     "27e6aaee319b7bb59e2d6d351dd164d8cd2a6ef7babef0888a89c85dd5718add"),
+     "57909c55035ab46eb8856acb3976a15a150b2b9b9620d91cf0d11fe8a07b426c"),
     (["domain", "--k", "2", "--n", "3", "--m1", "1", "--m2", "1",
       "--seed-r", "-0.5", "--seed-psi", "0.3"],
-     "b094d5ac92ae6361fdcc0332c6dc134a944791eec5f77cd2f6ee8f981af2441a"),
+     "d7aa86d1378111d1faaa8950c54a9e68f76884e79b69e368cad0243bf036d40e"),
     (["domain", "--k", "3", "--n", "4", "--m", "1", "--type", "VII"],
      "1ba192a201277e4e56ed3015c5e8196ca9dfd707a3b4d81cd0d6f164555f7c96"),
     (["verify", "grim-reaper", "--points", "200"],

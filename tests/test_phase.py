@@ -27,7 +27,7 @@ from isosoliton import (
     vprime_rhs,
     zeta,
 )
-from isosoliton.phase import ETA_POLE_GAP, _eta_samples, _zeta_samples, u_rhs
+from isosoliton.phase import ETA_POLE_GAP, _eta_samples, _zeta_samples, s_rhs
 
 P12 = make_params(1, 2, 1, 1)
 P23 = make_params(2, 3, 1, 1)
@@ -42,24 +42,38 @@ class TestRightHandSides:
     )
     @settings(max_examples=100, deadline=None)
     @example(r=0.4138154053769165, mag=1.1, sign=-1.0)  # near psi = eta on P23
-    def test_u_rhs_is_the_reciprocal_square_chain_rule(self, r, mag, sign):
-        # u = 1/psi^2 gives u' = -2 psi' / psi^3.  Near the guide curve
-        # psi = eta the two drift terms cancel, so both sides keep only the
-        # rounding error of the summands: the absolute bound is 1e-12 of them.
+    @example(r=0.0, mag=1.0000000000000002, sign=1.0)  # on psi = eta on P24
+    def test_s_rhs_is_the_reciprocal_chain_rule(self, r, mag, sign):
+        # s = 1/psi gives ds/dr = -psi' / psi^2, and dr/ds is its reciprocal.
+        # Near the guide curve psi = eta the two drift terms cancel, so ds/dr
+        # is compared, keeping only the rounding error of the summands: the
+        # absolute bound is 1e-12 of them.
         psi = sign * mag
-        u = psi**-2
+        s = 1.0 / psi
         one_minus_r2 = 1.0 - r * r
         for p in (P12, P23, P24):
-            want = -2.0 * psi_rhs(p, r, psi) / psi**3
-            summands = 2.0 * (1.0 + u) * (abs((p.n - 1) * (r - p.R))
-                                          + math.sqrt(one_minus_r2) * math.sqrt(u)) \
-                / (p.k * one_minus_r2)
-            assert u_rhs(p, r, u, sign) == pytest.approx(want, rel=1e-12, abs=1e-12 * summands)
+            if (p.n - 1) * (r - p.R) + math.sqrt(one_minus_r2) * s == 0.0:
+                # psi on the guide curve to the last bit: ds/dr = 0
+                with pytest.raises(ValueError, match="singular"):
+                    s_rhs(p, s, r)
+                continue
+            want = -psi_rhs(p, r, psi) / (psi * psi)
+            summands = (1.0 + s * s) * (abs((p.n - 1) * (r - p.R))
+                                        + math.sqrt(one_minus_r2) * abs(s)) \
+                / (p.k * one_minus_r2 * abs(s))
+            assert 1.0 / s_rhs(p, s, r) == pytest.approx(want, rel=1e-12, abs=1e-12 * summands)
 
-    def test_u_rhs_clamps_past_the_pole(self):
-        # past u = 0 only the (n-1)(r-R) drift remains
-        assert u_rhs(P12, 0.5, -1e-3, 1.0) == pytest.approx(
-            -2.0 * (1.0 - 1e-3) * 0.5 / 0.75, rel=1e-15)
+    def test_s_rhs_at_and_off_the_pole(self):
+        # k=1, n=2, R=0 at r=0.6, s=0.5: -0.64 * 0.5 / (1.25 * (0.6 + 0.4))
+        assert s_rhs(P12, 0.5, 0.6) == pytest.approx(-0.256, rel=1e-15)
+        # dr/ds vanishes at the pole s = 0, r = b != R
+        assert s_rhs(P23, 0.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("s, r", [(0.1, 1.0), (0.1, -1.5), (0.0, 0.0)])
+    def test_s_rhs_singular_points(self, s, r):
+        # |r| >= 1, and (n-1)(r - R) + sqrt(1 - r^2) s = 0 (P12: r = 0, s = 0)
+        with pytest.raises(ValueError, match="singular"):
+            s_rhs(P12, s, r)
 
     def test_known_value(self):
         # k=1, n=2, R=0 at the origin: psi' = (0+1)(0+1)/1
